@@ -1,149 +1,16 @@
 #include "core/batch_eval.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
-#include <string>
-
-#include "core/batch_eval_kernels.h"
 #include "oracle/access.h"
 
 namespace lcaknap::core {
 
-namespace detail {
-
-void classify_lane_scalar(const ClassifyArgs& args, std::size_t lane) noexcept {
-  // Mirrors LcaKp::answer_with_witness + LcaKp::decide on gathered columns:
-  // the same double divisions in the same order, so the results are
-  // bit-identical to the per-request path.
-  const double np = args.profit_d[lane] / args.total_profit;
-  const bool large = np > args.eps2;
-  args.large[lane] = large ? 1 : 0;
-  if (large) {
-    args.answers[lane] = 0;  // membership resolved by fixup_lanes
-    return;
-  }
-  double eff;
-  if (args.weight_d[lane] == 0.0) {
-    eff = std::numeric_limits<double>::infinity();
-  } else {
-    eff = np / (args.weight_d[lane] / args.total_weight);
-  }
-  args.answers[lane] = (args.small_rule && eff >= args.small_cutoff) ? 1 : 0;
-}
-
-}  // namespace detail
-
-const char* batch_kernel_name(BatchKernel kernel) noexcept {
-  switch (kernel) {
-    case BatchKernel::kScalar:
-      return "scalar";
-    case BatchKernel::kAvx2:
-      return "avx2";
-    case BatchKernel::kAvx512:
-      return "avx512";
-  }
-  return "unknown";
-}
-
 void BatchScratch::resize(std::size_t n) {
   profits.resize(n);
   weights.resize(n);
-  profit_d.resize(n);
-  weight_d.resize(n);
   status.resize(n);
   large.resize(n);
   answers.resize(n);
   size = n;
-}
-
-bool BatchEval::kernel_available(BatchKernel kernel) noexcept {
-  switch (kernel) {
-    case BatchKernel::kScalar:
-      return true;
-    case BatchKernel::kAvx2:
-#ifdef LCAKNAP_HAVE_AVX2
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case BatchKernel::kAvx512:
-#ifdef LCAKNAP_HAVE_AVX512
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-BatchKernel BatchEval::best_kernel() noexcept {
-  if (kernel_available(BatchKernel::kAvx512)) return BatchKernel::kAvx512;
-  if (kernel_available(BatchKernel::kAvx2)) return BatchKernel::kAvx2;
-  return BatchKernel::kScalar;
-}
-
-void BatchEval::set_kernel(BatchKernel kernel) {
-  if (!kernel_available(kernel)) {
-    throw std::invalid_argument(std::string("batch kernel unavailable here: ") +
-                                batch_kernel_name(kernel));
-  }
-  kernel_ = kernel;
-}
-
-double BatchEval::grid_lower_bound(const iky::EfficiencyDomain& domain,
-                                   std::int64_t cell) {
-  if (cell >= domain.size()) {
-    throw std::invalid_argument("grid_lower_bound: cell beyond the grid");
-  }
-  // Cell 0 (and anything below) admits every efficiency the answer path can
-  // produce: to_grid is always >= 0.
-  if (cell <= 0) return -std::numeric_limits<double>::infinity();
-
-  // Bit patterns of non-negative doubles are monotone in value order
-  // (+0.0 = 0x0 ... +inf = 0x7FF0'0000'0000'0000), so bisect bits with the
-  // scalar map as the probe.  Invariant: to_grid(lo) < cell <= to_grid(hi).
-  std::uint64_t lo = std::bit_cast<std::uint64_t>(0.0);
-  std::uint64_t hi =
-      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());
-  if (domain.to_grid(std::bit_cast<double>(lo)) >= cell ||
-      domain.to_grid(std::bit_cast<double>(hi)) < cell) {
-    throw std::logic_error("grid_lower_bound: bisection invariant violated");
-  }
-  while (hi - lo > 1) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (domain.to_grid(std::bit_cast<double>(mid)) >= cell) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  const double bound = std::bit_cast<double>(hi);
-  // Verify both sides of the boundary: a non-monotone to_grid (e.g. a libm
-  // whose log2 is not monotone) must fail loudly, never silently diverge
-  // from the scalar path.
-  if (domain.to_grid(bound) < cell ||
-      domain.to_grid(std::bit_cast<double>(hi - 1)) >= cell) {
-    throw std::logic_error("grid_lower_bound: boundary verification failed");
-  }
-  return bound;
-}
-
-BatchEval::BatchEval(const LcaKp& lca, const LcaKpRun& run)
-    : lca_(&lca), run_(&run) {
-  const oracle::InstanceAccess& access = lca.access();
-  total_profit_ = static_cast<double>(access.total_profit());
-  total_weight_ = static_cast<double>(access.total_weight());
-  eps2_ = lca.config().eps * lca.config().eps;
-  small_rule_ = run.e_small_grid >= 0;
-  if (small_rule_) {
-    small_cutoff_ = grid_lower_bound(lca.domain(), run.e_small_grid);
-  }
-  large_sorted_.assign(run.index_large.begin(), run.index_large.end());
-  std::sort(large_sorted_.begin(), large_sorted_.end());
-  kernel_ = best_kernel();
 }
 
 void BatchEval::gather(std::span<const std::size_t> items,
@@ -151,100 +18,33 @@ void BatchEval::gather(std::span<const std::size_t> items,
   scratch.resize(items.size());
   const oracle::InstanceAccess& access = lca_->access();
   for (std::size_t l = 0; l < items.size(); ++l) {
+    knapsack::Item item;
     try {
-      const knapsack::Item item = access.query(items[l]);
+      item = access.query(items[l]);
       scratch.status[l] = LaneStatus::kOk;
-      scratch.profits[l] = item.profit;
-      scratch.weights[l] = item.weight;
-      scratch.profit_d[l] = static_cast<double>(item.profit);
-      scratch.weight_d[l] = static_cast<double>(item.weight);
     } catch (const oracle::OracleUnavailable&) {
       scratch.status[l] = LaneStatus::kUnavailable;
-      scratch.profits[l] = 0;
-      scratch.weights[l] = 0;
-      scratch.profit_d[l] = 0.0;
-      scratch.weight_d[l] = 0.0;
     } catch (...) {
       scratch.status[l] = LaneStatus::kError;
-      scratch.profits[l] = 0;
-      scratch.weights[l] = 0;
-      scratch.profit_d[l] = 0.0;
-      scratch.weight_d[l] = 0.0;
     }
+    scratch.profits[l] = item.profit;
+    scratch.weights[l] = item.weight;
   }
 }
 
-void BatchEval::fixup_lanes(std::span<const std::size_t> items,
-                            BatchScratch& scratch) const {
+void BatchEval::classify(std::span<const std::size_t> items,
+                         BatchScratch& scratch) const {
   for (std::size_t l = 0; l < items.size(); ++l) {
     if (scratch.status[l] != LaneStatus::kOk) {
       scratch.large[l] = 0;
       scratch.answers[l] = 0;
       continue;
     }
-    if (scratch.large[l] != 0) {
-      scratch.answers[l] = std::binary_search(large_sorted_.begin(),
-                                              large_sorted_.end(), items[l])
-                               ? 1
-                               : 0;
-    }
+    const LcaKp::AnswerWitness witness = lca_->witness_from(
+        *run_, items[l], knapsack::Item{scratch.profits[l], scratch.weights[l]});
+    scratch.large[l] = witness.large ? 1 : 0;
+    scratch.answers[l] = witness.answer ? 1 : 0;
   }
-}
-
-void BatchEval::classify_scalar(std::span<const std::size_t> items,
-                                BatchScratch& scratch) const {
-  detail::ClassifyArgs args;
-  args.profit_d = scratch.profit_d.data();
-  args.weight_d = scratch.weight_d.data();
-  args.large = scratch.large.data();
-  args.answers = scratch.answers.data();
-  args.n = items.size();
-  args.total_profit = total_profit_;
-  args.total_weight = total_weight_;
-  args.eps2 = eps2_;
-  args.small_rule = small_rule_;
-  args.small_cutoff = small_cutoff_;
-  for (std::size_t l = 0; l < args.n; ++l) {
-    detail::classify_lane_scalar(args, l);
-  }
-  fixup_lanes(items, scratch);
-}
-
-void BatchEval::classify(std::span<const std::size_t> items,
-                         BatchScratch& scratch) const {
-  if (kernel_ == BatchKernel::kScalar) {
-    classify_scalar(items, scratch);
-    return;
-  }
-  detail::ClassifyArgs args;
-  args.profit_d = scratch.profit_d.data();
-  args.weight_d = scratch.weight_d.data();
-  args.large = scratch.large.data();
-  args.answers = scratch.answers.data();
-  args.n = items.size();
-  args.total_profit = total_profit_;
-  args.total_weight = total_weight_;
-  args.eps2 = eps2_;
-  args.small_rule = small_rule_;
-  args.small_cutoff = small_cutoff_;
-  switch (kernel_) {
-#ifdef LCAKNAP_HAVE_AVX2
-    case BatchKernel::kAvx2:
-      detail::classify_avx2(args);
-      break;
-#endif
-#ifdef LCAKNAP_HAVE_AVX512
-    case BatchKernel::kAvx512:
-      detail::classify_avx512(args);
-      break;
-#endif
-    default:
-      // A kernel became unreachable after set_kernel (compiled out): fall
-      // back to the reference rather than crash — semantics are identical.
-      classify_scalar(items, scratch);
-      return;
-  }
-  fixup_lanes(items, scratch);
 }
 
 }  // namespace lcaknap::core

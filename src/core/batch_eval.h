@@ -3,60 +3,27 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/lca_kp.h"
 
 /// \file batch_eval.h
-/// Vectorized struct-of-arrays batch evaluation of the steady-state answer
-/// path (Algorithm 2, lines 20-24).
+/// Struct-of-arrays batch evaluation of the steady-state answer path
+/// (Algorithm 2, lines 20-24).
 ///
 /// Every answer is a pure function of the shared warm state `(L(Ĩ), EPS)`
 /// and one queried item — there are no cross-query dependencies (the same
-/// per-query independence Fast LCAs and Reingold–Vardi exploit), so a whole
-/// batch of membership queries can be evaluated lock-step:
+/// per-query independence Fast LCAs and Reingold–Vardi exploit), so the
+/// serving engine evaluates the cache misses of a whole dispatch group in
+/// two stages:
 ///
 ///  1. **gather** — one counted `access.query(i)` per lane (the access-model
-///     cost is identical to the per-request path), landing item contents in
-///     struct-of-arrays columns: `profits`/`weights` (raw int64, the witness
-///     fields) plus `profit_d`/`weight_d` (the same values cast to double
-///     once, scalar, so the vector kernels never re-implement int64→double
-///     conversion semantics);
-///  2. **classify** — pure SoA math over the columns: normalized profit,
-///     the branchless large/small split (`norm_profit > eps²`), efficiency,
-///     and the small-branch threshold comparison.
-///
-/// The classify stage has three kernels sharing one contract — **the scalar
-/// reference is the semantics**; a vector kernel is correct only if its
-/// output (answers AND witness flags) is byte-identical on every input
-/// (Lemma 4.9 extended to the vector unit; the differential fuzz suite in
-/// tests/core/test_batch_eval.cpp pins it):
-///
-///  * `kScalar` — always built; per lane exactly the operations of
-///    `LcaKp::answer_with_witness` (same divisions in the same order);
-///  * `kAvx2` / `kAvx512` — compiled only under the `LCAKNAP_NATIVE` cmake
-///    gate on x86-64, selected at runtime via CPU-feature detection
-///    (`__builtin_cpu_supports`), never statically assumed.
-///
-/// **The grid-cutoff trick.** The scalar small branch computes
-/// `domain.to_grid(efficiency) >= e_small_grid`, and `to_grid` calls
-/// `std::log2` — not profitably vectorizable without a vector libm, and any
-/// substitute polynomial would break byte-equality.  But `to_grid` is a
-/// monotone non-decreasing map (log2, an affine map, floor, clamp — each
-/// monotone), so the predicate is equivalent to `efficiency >= C` where
-/// `C = min { e : to_grid(e) >= e_small_grid }`.  The constructor finds this
-/// exact double by bisecting the bit representation of the non-negative
-/// doubles (monotone in value order) with the *scalar* `to_grid` as the
-/// probe, then verifies both sides of the boundary:
-/// `to_grid(C) >= g` and `to_grid(pred(C)) < g`.  The hot loop is then one
-/// vector compare.  Zero-weight lanes (efficiency = +inf by definition) are
-/// blended to +inf before the compare so `0/0` can never produce a NaN the
-/// scalar path would not have produced.
-///
-/// Large-branch membership (`index_large.contains(i)`) is resolved after
-/// the vector pass by binary search over a sorted copy of L(Ĩ) — only for
-/// lanes whose mask says "large", which Lemma 4.2 keeps few (|L(Ĩ)| ≤ 1/ε²).
+///     cost is identical to `LcaKp::answer_from`), landing the raw item
+///     contents in the `profits`/`weights` witness columns;
+///  2. **classify** — per lane, `LcaKp::witness_from` on the gathered
+///     contents: the same function `answer_with_witness` runs after its
+///     oracle read, so a batch answer equals the per-request answer by
+///     construction.
 ///
 /// Fault isolation: `gather` catches `oracle::OracleUnavailable` **per
 /// lane** (`LaneStatus::kUnavailable`) so one dead item cannot poison its
@@ -64,15 +31,6 @@
 /// degrade/error outcomes.
 
 namespace lcaknap::core {
-
-/// Which classify kernel runs; `batch_kernel_name` gives the metric label.
-enum class BatchKernel : int {
-  kScalar = 0,
-  kAvx2 = 1,
-  kAvx512 = 2,
-};
-
-[[nodiscard]] const char* batch_kernel_name(BatchKernel kernel) noexcept;
 
 /// Per-lane gather outcome.
 enum class LaneStatus : std::uint8_t {
@@ -83,14 +41,11 @@ enum class LaneStatus : std::uint8_t {
 
 /// Struct-of-arrays scratch buffers, sized by `resize` and reused across
 /// batches: after the first batch at the high-water size, the steady-state
-/// path performs zero heap allocations (the PR-4 invariant extended to the
-/// batch path).  Columns are ordinary vectors; the vector kernels use
-/// unaligned loads, so no over-alignment contract is needed.
+/// path performs zero heap allocations, like `LcaKp::answer_from`
+/// (tests/core/test_query_alloc.cpp pins both).
 struct BatchScratch {
   std::vector<std::int64_t> profits;   ///< witness: raw profit per lane
   std::vector<std::int64_t> weights;   ///< witness: raw weight per lane
-  std::vector<double> profit_d;        ///< (double)profit, cast at gather
-  std::vector<double> weight_d;        ///< (double)weight, cast at gather
   std::vector<LaneStatus> status;      ///< gather outcome per lane
   std::vector<std::uint8_t> large;     ///< classify: 1 = norm_profit > eps²
   std::vector<std::uint8_t> answers;   ///< classify: membership decision
@@ -102,23 +57,18 @@ struct BatchScratch {
 
 class BatchEval {
  public:
-  /// Precomputes the SoA constants (normalizers, eps², sorted L(Ĩ), and the
-  /// verified small-branch cutoff) for answering against `run`.  Both `lca`
-  /// and `run` must outlive this object.  Starts on `best_kernel()`.
-  BatchEval(const LcaKp& lca, const LcaKpRun& run);
+  /// Answers against `run`.  Both `lca` and `run` must outlive this object;
+  /// construction does no work, so callers may build one per batch.
+  BatchEval(const LcaKp& lca, const LcaKpRun& run) : lca_(&lca), run_(&run) {}
 
   /// Gather stage: one counted oracle query per lane.  Per-lane fault
   /// isolation as documented above; `scratch` is resized to `items.size()`.
   void gather(std::span<const std::size_t> items, BatchScratch& scratch) const;
 
-  /// Classify stage on the active kernel.  Lanes whose status is not kOk
-  /// keep `large = answers = 0`.
+  /// Classify stage: `LcaKp::witness_from` per lane.  Lanes whose status is
+  /// not kOk get `large = answers = 0`.
   void classify(std::span<const std::size_t> items,
                 BatchScratch& scratch) const;
-
-  /// The always-built scalar reference (the per-request semantics).
-  void classify_scalar(std::span<const std::size_t> items,
-                       BatchScratch& scratch) const;
 
   /// gather + classify.
   void evaluate(std::span<const std::size_t> items,
@@ -127,45 +77,9 @@ class BatchEval {
     classify(items, scratch);
   }
 
-  [[nodiscard]] BatchKernel kernel() const noexcept { return kernel_; }
-  /// Forces a kernel (benchmarks and differential tests); throws
-  /// `std::invalid_argument` when it is not compiled in or the CPU lacks it.
-  void set_kernel(BatchKernel kernel);
-
-  /// Best kernel this binary AND this CPU support (runtime dispatch:
-  /// compiled availability is necessary but never sufficient).
-  [[nodiscard]] static BatchKernel best_kernel() noexcept;
-  /// Whether `kernel` could be activated here.
-  [[nodiscard]] static bool kernel_available(BatchKernel kernel) noexcept;
-
-  /// The verified small-branch efficiency cutoff C (see file comment);
-  /// -infinity when `e_small_grid <= 0` accepts everything, +infinity(ish)
-  /// unused when there is no small rule.  Exposed for tests.
-  [[nodiscard]] double small_cutoff() const noexcept { return small_cutoff_; }
-
-  /// Exact lower boundary of grid cell `g`: the smallest non-negative
-  /// double whose `domain.to_grid` is >= g, by bit-level bisection with the
-  /// scalar map as probe.  Verifies both sides of the boundary and throws
-  /// `std::logic_error` if the map disagrees (a non-monotone libm would
-  /// surface here, not as a silent wrong answer).  Exposed for tests.
-  [[nodiscard]] static double grid_lower_bound(const iky::EfficiencyDomain& domain,
-                                               std::int64_t cell);
-
  private:
   const LcaKp* lca_;
   const LcaKpRun* run_;
-  double total_profit_ = 1.0;
-  double total_weight_ = 1.0;
-  double eps2_ = 0.0;
-  bool small_rule_ = false;     ///< run.e_small_grid >= 0
-  double small_cutoff_ = 0.0;   ///< efficiency >= cutoff ⇔ grid >= e_small_grid
-  std::vector<std::size_t> large_sorted_;  ///< sorted L(Ĩ) for lane fixup
-  BatchKernel kernel_ = BatchKernel::kScalar;
-
-  /// Post-classify fixup shared by the vector kernels: resolves large-lane
-  /// membership and zeroes failed lanes.
-  void fixup_lanes(std::span<const std::size_t> items,
-                   BatchScratch& scratch) const;
 };
 
 }  // namespace lcaknap::core

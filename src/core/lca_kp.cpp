@@ -424,6 +424,17 @@ bool LcaKp::decide(const LcaKpRun& run, std::size_t index, double norm_profit,
   return run.e_small_grid >= 0 && domain_.to_grid(efficiency) >= run.e_small_grid;
 }
 
+LcaKp::AnswerWitness LcaKp::witness_from(const LcaKpRun& run, std::size_t i,
+                                         const knapsack::Item& item) const {
+  const double norm_profit = access_->norm_profit(item);
+  AnswerWitness witness;
+  witness.profit = item.profit;
+  witness.weight = item.weight;
+  witness.large = norm_profit > config_.eps * config_.eps;
+  witness.answer = decide(run, i, norm_profit, access_->efficiency(item));
+  return witness;
+}
+
 bool LcaKp::answer_from(const LcaKpRun& run, std::size_t i) const {
   const knapsack::Item item = access_->query(i);
   return decide(run, i, access_->norm_profit(item), access_->efficiency(item));
@@ -431,12 +442,7 @@ bool LcaKp::answer_from(const LcaKpRun& run, std::size_t i) const {
 
 bool LcaKp::answer_with_witness(const LcaKpRun& run, std::size_t i,
                                 AnswerWitness& witness) const {
-  const knapsack::Item item = access_->query(i);
-  witness.profit = item.profit;
-  witness.weight = item.weight;
-  witness.large = access_->norm_profit(item) > config_.eps * config_.eps;
-  witness.answer =
-      decide(run, i, access_->norm_profit(item), access_->efficiency(item));
+  witness = witness_from(run, i, access_->query(i));
   return witness.answer;
 }
 

@@ -220,6 +220,14 @@ class LcaKp final : public Lca {
   [[nodiscard]] bool answer_with_witness(const LcaKpRun& run, std::size_t i,
                                          AnswerWitness& witness) const;
 
+  /// Lines 20-24 on contents already read from the oracle: the witness (and
+  /// answer) for item `i` holding `item`.  No oracle access.  This is what
+  /// `answer_with_witness` runs after its oracle read, and the batch path
+  /// (`BatchEval::classify`) calls it per lane, so batch and per-request
+  /// answers are one code path.
+  [[nodiscard]] AnswerWitness witness_from(const LcaKpRun& run, std::size_t i,
+                                           const knapsack::Item& item) const;
+
   /// The membership decision given an item's contents (no oracle access;
   /// used by MAPPING-GREEDY and the offline evaluators).
   [[nodiscard]] bool decide(const LcaKpRun& run, std::size_t index,

@@ -331,9 +331,11 @@ void Server::handle_frame(Connection& conn, const RequestFrame& frame,
     ResponseFrame response;
     response.request_id = frame.request_id;
     if (config_.allow_shutdown) {
+      // Record the request before the peer can read the reply: a client
+      // that has heard kShuttingDown must find shutdown_requested() true.
+      shutdown_requested_.store(true, std::memory_order_relaxed);
       response.status = WireStatus::kShuttingDown;
       respond(conn, response);
-      shutdown_requested_.store(true, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(shutdown_mutex_);
       shutdown_cv_.notify_all();
     } else {

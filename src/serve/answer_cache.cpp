@@ -186,7 +186,7 @@ void AnswerCache::get_batch(std::span<const std::size_t> items,
   }
   if (!hit_lanes.empty()) {
     // Claim hit numbers base+1 .. base+k as one block: the batch produces
-    // exactly the paranoia-due count the per-request path would have.
+    // exactly the paranoia-due count k single `get` calls would have.
     const auto base = hits_.fetch_add(hit_lanes.size(), std::memory_order_relaxed);
     hits_total_->inc(hit_lanes.size());
     for (std::size_t j = 0; j < hit_lanes.size(); ++j) {

@@ -115,9 +115,9 @@ class AnswerCache {
     Entry entry;
   };
 
-  /// Batch lookup for the vectorized answer path: groups `items` by shard
-  /// and takes each shard mutex ONCE per batch (the per-request path takes
-  /// it once per item), then bulk-updates the counters.  `out[l]` is exactly
+  /// Batch lookup for the engine's answer path: groups `items` by shard and
+  /// takes each shard mutex ONCE per batch (`get` takes it once per item),
+  /// then bulk-updates the counters.  `out[l]` is exactly
   /// what `get(items[l])` would have returned.  Counter totals — hits,
   /// misses, and the number of paranoia-due hits per batch — are identical
   /// to issuing the gets one by one (hit numbers `base+1 ... base+k` are

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "core/batch_eval.h"
 #include "store/snapshot.h"
 #include "util/rng.h"
 
@@ -99,10 +100,6 @@ ServeEngine::ServeEngine(const core::LcaKp& lca, const EngineConfig& config,
       "Wall time of one BatchEval gather+classify over a dispatch group's "
       "cache misses, in microseconds",
       metrics::Histogram::exponential_buckets(0.5, 2.0, 20));
-  batch_eval_kernel_gauge_ = &registry.gauge(
-      "batch_eval_kernel",
-      "Active batch-eval classify kernel (0 scalar, 1 avx2, 2 avx512; -1 "
-      "batch path disabled)");
   epoch_gauge_ = &registry.gauge(
       "serve_epoch", "Current instance epoch served (0 = static instance)");
   // Epoch 0: the static-instance snapshot every engine starts on.  Its
@@ -110,10 +107,6 @@ ServeEngine::ServeEngine(const core::LcaKp& lca, const EngineConfig& config,
   // `cert_dir/epoch-<id>/` subdirectories.
   epochs_.push_back(
       make_epoch(0, lca, std::move(run), nullptr, config_.cert_dir, registry));
-  batch_eval_kernel_gauge_->set(
-      epochs_.back()->batch_eval != nullptr
-          ? static_cast<double>(epochs_.back()->batch_eval->kernel())
-          : -1.0);
   epoch_gauge_->set(0.0);
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -128,12 +121,6 @@ std::shared_ptr<const ServeEngine::Epoch> ServeEngine::make_epoch(
   epoch->lca = &lca;
   epoch->run = std::move(run);
   epoch->keepalive = std::move(keepalive);
-  if (config_.batch_eval) {
-    // Built after the run is final (warm-up, snapshot, or delta warm-up):
-    // the evaluator precomputes its SoA constants from the warm state and
-    // picks the best kernel this binary AND this CPU support.
-    epoch->batch_eval = std::make_shared<core::BatchEval>(lca, *epoch->run);
-  }
   if (config_.certify) {
     // The log header embeds the snapshot fingerprint of THIS serving
     // context (instance + shared seed + resolved params + tape-seed echo +
@@ -177,8 +164,8 @@ void ServeEngine::advance_epoch(std::uint64_t epoch_id, const core::LcaKp& lca,
     std::filesystem::create_directories(cert_dir);
   }
   // Build the new snapshot before touching anything the request path sees:
-  // traffic keeps flowing under the old epoch while BatchEval rebuilds and
-  // the new certificate log opens.
+  // traffic keeps flowing under the old epoch while the new certificate log
+  // opens.
   auto next = make_epoch(epoch_id, lca, std::move(run), std::move(keepalive),
                          cert_dir, *registry_);
   // Bump the cache generation BEFORE publishing the snapshot.  In the window
@@ -192,10 +179,6 @@ void ServeEngine::advance_epoch(std::uint64_t epoch_id, const core::LcaKp& lca,
     epochs_.push_back(std::move(next));
   }
   epoch_gauge_->set(static_cast<double>(epoch_id));
-  batch_eval_kernel_gauge_->set(
-      snapshot()->batch_eval != nullptr
-          ? static_cast<double>(snapshot()->batch_eval->kernel())
-          : -1.0);
 }
 
 std::uint64_t ServeEngine::epoch() const { return snapshot()->epoch_id; }
@@ -204,12 +187,6 @@ const core::LcaKpRun& ServeEngine::run() const { return *snapshot()->run; }
 
 const cert::CertLog* ServeEngine::cert_log() const {
   return snapshot()->cert_log.get();
-}
-
-core::BatchKernel ServeEngine::batch_kernel() const {
-  const auto snap = snapshot();
-  return snap->batch_eval != nullptr ? snap->batch_eval->kernel()
-                                     : core::BatchKernel::kScalar;
 }
 
 ServeEngine::~ServeEngine() { drain(); }
@@ -382,129 +359,17 @@ void ServeEngine::dispatch_ready(std::vector<Batch>& ready) {
     for (std::size_t i = begin; i < end; ++i) boxed->push_back(std::move(ready[i]));
     pool_.submit([this, boxed] {
       // Capture the epoch snapshot ONCE per dispatch group: every request in
-      // the group evaluates against exactly one epoch's warm state, batch
-      // evaluator, and certificate log, even if advance_epoch runs mid-group.
-      const auto snap = snapshot();
-      if (snap->batch_eval != nullptr) {
-        execute_batch_group(*boxed, snap);
-      } else {
-        for (auto& batch : *boxed) execute_batch(std::move(batch), snap);
-      }
+      // the group evaluates against exactly one epoch's warm state and
+      // certificate log, even if advance_epoch runs mid-group.
+      execute_batch_group(*boxed, snapshot());
     });
   }
   ready.clear();
 }
 
-void ServeEngine::execute_batch(Batch batch,
-                                const std::shared_ptr<const Epoch>& snap) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(batch.requests.size(), std::memory_order_relaxed);
-  batch_size_->observe(static_cast<double>(batch.requests.size()));
-
-  // One evaluation serves the whole batch: every request asks about the
-  // same item, and the answer is a deterministic function of the shared
-  // seed, so computing it once is not an optimization gamble — it is what
-  // Definition 2.3 licenses.
-  Response response;
-  const auto cached = cache_.get(batch.item);
-  if (cached.has_value()) {
-    response.outcome = Outcome::kOk;
-    response.answer = cached->answer;
-    response.cache_hit = true;
-    // A hit is always current-generation, which may be *ahead* of this
-    // worker's snapshot if an advance landed between capture and lookup;
-    // attribute the epoch the answer actually came from.
-    response.epoch_id = cached->generation;
-    // Witness for the certificate record: from the cache entry (zero oracle
-    // reads), refreshed by a paranoia re-evaluation when one runs.
-    bool has_witness = cached->has_witness;
-    bool witness_large = cached->large;
-    std::int64_t witness_profit = cached->profit;
-    std::int64_t witness_weight = cached->weight;
-    if (cached->paranoia_due && cached->generation == snap->epoch_id) {
-      // Live consistency SLO: recompute and compare.  A mismatch is a
-      // reproducibility bug, not staleness; repair the cache and count it.
-      // (Skipped when the hit's generation is not this worker's epoch —
-      // re-deriving an epoch-N+1 answer against the epoch-N run would
-      // manufacture false violations.)
-      try {
-        core::LcaKp::AnswerWitness fresh;
-        const bool fresh_answer =
-            snap->lca->answer_with_witness(*snap->run, batch.item, fresh);
-        cache_.record_paranoia(fresh_answer == cached->answer);
-        // Re-store with the fresh witness: repairs a violation and upgrades
-        // witness-free entries that predate certification.
-        cache_.put(batch.item,
-                   AnswerCache::Entry{fresh.answer, true, fresh.large,
-                                      fresh.profit, fresh.weight,
-                                      snap->epoch_id});
-        response.answer = fresh_answer;
-        has_witness = true;
-        witness_large = fresh.large;
-        witness_profit = fresh.profit;
-        witness_weight = fresh.weight;
-      } catch (...) {
-        // The recheck is best-effort; an oracle failure here must not take
-        // down an answer we already hold.
-      }
-    }
-    if (snap->cert_log != nullptr) {
-      if (has_witness) {
-        certify_answer(*snap, batch.item, witness_large, witness_profit,
-                       witness_weight, response.answer);
-      } else {
-        snap->cert_log->skip();
-      }
-    }
-  } else {
-    try {
-      core::LcaKp::AnswerWitness witness;
-      response.answer =
-          snap->lca->answer_with_witness(*snap->run, batch.item, witness);
-      response.outcome = Outcome::kOk;
-      response.epoch_id = snap->epoch_id;
-      cache_.put(batch.item,
-                 AnswerCache::Entry{witness.answer, true, witness.large,
-                                    witness.profit, witness.weight,
-                                    snap->epoch_id});
-      if (snap->cert_log != nullptr) {
-        certify_answer(*snap, batch.item, witness.large, witness.profit,
-                       witness.weight, witness.answer);
-      }
-    } catch (const oracle::OracleUnavailable&) {
-      // The oracle stayed down through the whole client policy (retries
-      // exhausted, retry budget empty, or circuit breaker open).  With
-      // degradation on, fall back to the warm-state rule; the degraded
-      // answer is deliberately NOT cached — it may be below LCA quality,
-      // and the cache must only ever hold Definition 2.3 answers.
-      if (config_.degrade) {
-        response.outcome = Outcome::kDegraded;
-        response.answer = degraded_answer(*snap, batch.item);
-        response.epoch_id = snap->epoch_id;
-      } else {
-        response.outcome = Outcome::kError;
-      }
-    } catch (...) {
-      response.outcome = Outcome::kError;
-    }
-  }
-
-  const std::uint64_t now_us = clock_->now_us();
-  for (auto& request : batch.requests) {
-    if (response.outcome == Outcome::kOk && request.expired(now_us)) {
-      Response shed;
-      shed.outcome = Outcome::kDeadlineExceeded;
-      finish(request, shed);
-    } else {
-      finish(request, response);
-    }
-  }
-}
-
 void ServeEngine::execute_batch_group(std::vector<Batch>& group,
                                       const std::shared_ptr<const Epoch>& snap) {
   if (group.empty()) return;
-  batch_eval_groups_.fetch_add(1, std::memory_order_relaxed);
 
   // One lane per batch (a batch is one distinct item plus its requests).
   std::vector<std::size_t> items;
@@ -531,8 +396,7 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
   };
   std::vector<LaneWitness> witnesses(group.size());
 
-  // Stage 2: hit lanes finish from the cache (zero oracle reads), with the
-  // same paranoia recheck-and-repair the per-request path performs.
+  // Stage 2: hit lanes finish from the cache (zero oracle reads).
   std::vector<std::size_t> miss_lanes;
   miss_lanes.reserve(group.size());
   for (std::size_t lane = 0; lane < group.size(); ++lane) {
@@ -545,10 +409,21 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
     response.outcome = Outcome::kOk;
     response.answer = hit.answer;
     response.cache_hit = true;
-    response.epoch_id = hit.generation;  // the epoch the answer came from
+    // A hit is always current-generation, which may be *ahead* of this
+    // worker's snapshot if an advance landed between capture and lookup;
+    // attribute the epoch the answer actually came from.
+    response.epoch_id = hit.generation;
+    // Witness for the certificate record: from the cache entry (zero oracle
+    // reads), refreshed by a paranoia re-evaluation when one runs.
     witnesses[lane] = LaneWitness{hit.has_witness, hit.large, hit.profit,
                                   hit.weight};
     if (hit.paranoia_due && hit.generation == snap->epoch_id) {
+      // Live consistency SLO: recompute through the reference
+      // `answer_with_witness` and compare.  A mismatch is a reproducibility
+      // bug, not staleness; repair the cache (the fresh witness also
+      // upgrades witness-free entries) and count it.  Skipped when the hit's
+      // generation is not this worker's epoch: re-deriving an epoch-N+1
+      // answer against the epoch-N run would manufacture false violations.
       try {
         core::LcaKp::AnswerWitness fresh;
         const bool fresh_answer =
@@ -562,12 +437,13 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
         witnesses[lane] =
             LaneWitness{true, fresh.large, fresh.profit, fresh.weight};
       } catch (...) {
-        // Best-effort recheck, exactly as in execute_batch.
+        // The recheck is best-effort; an oracle failure here must not take
+        // down an answer we already hold.
       }
     }
   }
 
-  // Stage 3: all miss lanes go through one SoA gather+classify.
+  // Stage 3: all miss lanes go through one gather+classify.
   if (!miss_lanes.empty()) {
     std::vector<std::size_t> miss_items;
     miss_items.reserve(miss_lanes.size());
@@ -575,7 +451,7 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
 
     static thread_local core::BatchScratch scratch;
     const auto eval_start = Clock::now();
-    snap->batch_eval->evaluate(miss_items, scratch);
+    core::BatchEval(*snap->lca, *snap->run).evaluate(miss_items, scratch);
     batch_eval_us_->observe(std::chrono::duration<double, std::micro>(
                                 Clock::now() - eval_start)
                                 .count());
@@ -602,8 +478,12 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
           break;
         }
         case core::LaneStatus::kUnavailable:
-          // Lane-isolated oracle failure: same degrade-or-error choice as
-          // the per-request path, and degraded answers are never cached.
+          // The oracle stayed down through the whole client policy (retries
+          // exhausted, retry budget empty, or circuit breaker open) for this
+          // lane only.  With degradation on, fall back to the warm-state
+          // rule; the degraded answer is deliberately NOT cached — it may be
+          // below LCA quality, and the cache must only ever hold
+          // Definition 2.3 answers.
           if (config_.degrade) {
             response.outcome = Outcome::kDegraded;
             response.answer = degraded_answer(*snap, items[lane]);
@@ -620,7 +500,8 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
     cache_.put_batch(puts);
   }
 
-  // Stage 4: certify and finish, per batch, same semantics as execute_batch.
+  // Stage 4: certify and finish, per batch.  A kOk answer whose request
+  // expired while it waited is shed rather than delivered late.
   const std::uint64_t now_us = clock_->now_us();
   for (std::size_t lane = 0; lane < group.size(); ++lane) {
     const Response& response = responses[lane];
@@ -694,7 +575,6 @@ EngineStats ServeEngine::stats() const {
   stats.errors = errors_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  stats.batch_eval_groups = batch_eval_groups_.load(std::memory_order_relaxed);
   stats.cache_hits = cache_.hits();
   stats.cache_misses = cache_.misses();
   stats.cache_evictions = cache_.evictions();

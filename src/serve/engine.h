@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cert/cert_log.h"
-#include "core/batch_eval.h"
 #include "core/lca_kp.h"
 #include "metrics/metrics.h"
 #include "serve/answer_cache.h"
@@ -35,9 +34,13 @@
 /// Request lifecycle:
 ///   submit() ── admission ──> RequestQueue (bounded; full ⇒ kOverloaded)
 ///            ── dispatcher ─> Batcher (group by item; linger/size close)
-///            ── ThreadPool ─> execute_batch: AnswerCache get → on miss one
-///                             `answer_from` evaluation (one oracle read) →
-///                             cache put → fulfil every request's future
+///            ── ThreadPool ─> execute_batch_group, once per dispatch group
+///                             of batches (a group of one is just a group):
+///                             one shard-grouped AnswerCache get → the
+///                             misses through `core::BatchEval` (one oracle
+///                             read per miss, classified by LcaKp's own
+///                             lines 20-24) → one cache put → fulfil every
+///                             request's future
 /// Deadlines are checked at dispatch and again at evaluation; expired
 /// requests are shed with kDeadlineExceeded.  `drain()` closes admission,
 /// flushes the batcher, and completes every in-flight request — an admitted
@@ -49,8 +52,8 @@
 /// `serve_cache_*` families owned by `AnswerCache`, and — with `certify` on
 /// — the `cert_*` writer families owned by `cert::CertLog`.
 ///
-/// **Epochs (dynamic instances, src/dyn).**  The warm state, the batch
-/// evaluator built over it, and the certificate log it certifies against
+/// **Epochs (dynamic instances, src/dyn).**  The warm state, the algorithm
+/// over the epoch's instance, and the certificate log it certifies against
 /// form one immutable *epoch snapshot*.  Workers capture the snapshot once
 /// per dispatch group (a `shared_ptr` load; readers never block), so an
 /// `advance_epoch` concurrent with traffic is linearizable per request: a
@@ -125,16 +128,6 @@ struct EngineConfig {
   /// Records per certificate segment before atomic rotation; 0 = library
   /// default (`cert::CertLogConfig`).
   std::uint64_t cert_segment_records = 0;
-  /// Vectorized batch answer path (core::BatchEval): workers evaluate the
-  /// cache misses of a whole dispatch group through struct-of-arrays
-  /// scratch buffers and the best available SIMD kernel, instead of one
-  /// `answer_with_witness` call per batch.  Answers, witnesses, cache
-  /// counters, certificates, and outcome accounting are byte-identical to
-  /// the per-request path (the batch kernels are pinned to the scalar
-  /// reference); `false` restores the per-request evaluation, which benches
-  /// use as the baseline.  Observability: `serve_batch_eval_us` histogram +
-  /// `batch_eval_kernel` gauge.
-  bool batch_eval = true;
 };
 
 /// Point-in-time readout of the engine's own counters plus its cache's.
@@ -149,7 +142,6 @@ struct EngineStats {
   std::uint64_t errors = 0;
   std::uint64_t batches = 0;
   std::uint64_t batched_requests = 0;  ///< requests that went through batches
-  std::uint64_t batch_eval_groups = 0;  ///< dispatch groups answered by BatchEval
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -212,10 +204,10 @@ class ServeEngine {
   /// `lca` (instance + oracle access) for as long as any in-flight worker
   /// may still hold the snapshot.  Effects, in order: the answer-cache
   /// generation is bumped to `epoch_id` (O(1); epoch-N entries die lazily,
-  /// epoch-N puts are dropped), a fresh `core::BatchEval` is built over the
-  /// new run, and — with `certify` on — a new certificate log opens under
-  /// `cert_dir/epoch-<id>/` with the epoch-stamped fingerprint, the previous
-  /// epoch's log staying owned (and sealed at drain) so no record is lost.
+  /// epoch-N puts are dropped), and — with `certify` on — a new certificate
+  /// log opens under `cert_dir/epoch-<id>/` with the epoch-stamped
+  /// fingerprint, the previous epoch's log staying owned (and sealed at
+  /// drain) so no record is lost.
   /// In-flight requests that captured the old snapshot finish under it and
   /// report the old `Response::epoch_id`; requests dispatched afterwards see
   /// only the new epoch.  Thread-safe against submit/worker traffic;
@@ -227,8 +219,6 @@ class ServeEngine {
   [[nodiscard]] std::uint64_t epoch() const;
 
   [[nodiscard]] EngineStats stats() const;
-  /// The active batch-eval kernel; kScalar when the batch path is disabled.
-  [[nodiscard]] core::BatchKernel batch_kernel() const;
   /// The shared membership rule every worker answers from (the *current*
   /// epoch's).  The reference stays valid for the engine's lifetime — past
   /// epochs are retained, not freed — but is a point-in-time read under
@@ -249,8 +239,6 @@ class ServeEngine {
     std::uint64_t epoch_id = 0;
     const core::LcaKp* lca = nullptr;
     std::shared_ptr<const core::LcaKpRun> run;
-    /// SoA batch evaluator over `run` (null when `batch_eval` is off).
-    std::shared_ptr<core::BatchEval> batch_eval;
     /// This epoch's certificate log (null unless `certify`); kept alive —
     /// and sealed at drain — even after the epoch is superseded.
     std::shared_ptr<cert::CertLog> cert_log;
@@ -276,11 +264,12 @@ class ServeEngine {
   /// task when the backlog is deep (amortizes per-task overhead) while
   /// keeping one-batch tasks when it is shallow (preserves parallelism).
   void dispatch_ready(std::vector<Batch>& ready);
-  void execute_batch(Batch batch, const std::shared_ptr<const Epoch>& snap);
-  /// The vectorized answer path: evaluates a whole dispatch group's cache
-  /// misses through `core::BatchEval` SoA scratch (one `get_batch`, one
-  /// gather+classify, one `put_batch`), then finishes every request with
-  /// the same outcome semantics as `execute_batch`.
+  /// The one answer path: evaluates a dispatch group (one or more batches)
+  /// with one `get_batch`, one `core::BatchEval` gather+classify over the
+  /// misses, and one `put_batch`, then finishes every request.  One
+  /// evaluation serves a whole batch: its requests all ask about the same
+  /// item, and the answer is a deterministic function of the shared seed
+  /// (Definition 2.3).
   void execute_batch_group(std::vector<Batch>& group,
                            const std::shared_ptr<const Epoch>& snap);
   void finish(Request& request, const Response& response);
@@ -296,7 +285,7 @@ class ServeEngine {
                              bool answer) noexcept;
   /// The current epoch snapshot (one mutex-guarded shared_ptr copy).
   [[nodiscard]] std::shared_ptr<const Epoch> snapshot() const;
-  /// Builds the per-epoch derived state (BatchEval, certificate log) over an
+  /// Builds the per-epoch derived state (the certificate log) over an
   /// adopted warm run; shared by the constructor and advance_epoch.
   [[nodiscard]] std::shared_ptr<const Epoch> make_epoch(
       std::uint64_t epoch_id, const core::LcaKp& lca,
@@ -318,11 +307,10 @@ class ServeEngine {
   metrics::Histogram* latency_us_;
   metrics::Gauge* queue_depth_gauge_;
   metrics::Histogram* batch_eval_us_ = nullptr;
-  metrics::Gauge* batch_eval_kernel_gauge_ = nullptr;
   metrics::Gauge* epoch_gauge_ = nullptr;
 
-  /// Serializes advance_epoch calls (epoch construction is slow: BatchEval
-  /// rebuild + certificate-log open); never held by the request path.
+  /// Serializes advance_epoch calls (epoch construction is slow: it opens a
+  /// certificate log); never held by the request path.
   std::mutex advance_mutex_;
   /// Guards `epochs_`; held for a shared_ptr copy on capture, never across
   /// an evaluation.
@@ -344,7 +332,6 @@ class ServeEngine {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
-  std::atomic<std::uint64_t> batch_eval_groups_{0};
   std::once_flag drain_once_;
   std::thread dispatcher_;
 };

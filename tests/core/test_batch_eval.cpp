@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -15,11 +12,11 @@
 
 /// \file test_batch_eval.cpp
 /// The batch answer path against its one correctness criterion: every lane —
-/// answer AND witness fields — byte-identical to the per-request
-/// `LcaKp::answer_with_witness`, for the scalar reference and for every
-/// vector kernel the binary + CPU can run (Lemma 4.9 extended to the vector
-/// unit).  Plus the grid-cutoff boundary exactness the vector compare relies
-/// on, and per-lane fault isolation.
+/// answer AND witness fields — equal to the per-request
+/// `LcaKp::answer_with_witness`.  Classify calls `LcaKp::witness_from`, the
+/// function `answer_with_witness` runs after its oracle read, so this pins
+/// the gather columns and the lane bookkeeping around it.  Plus per-lane
+/// fault isolation and scratch reuse.
 
 namespace lcaknap::core {
 namespace {
@@ -30,15 +27,6 @@ LcaKpConfig test_config(double eps = 0.25) {
   config.seed = 0xABCD;
   config.quantile_samples = 30'000;
   return config;
-}
-
-std::vector<BatchKernel> available_kernels() {
-  std::vector<BatchKernel> kernels;
-  for (const auto k : {BatchKernel::kScalar, BatchKernel::kAvx2,
-                       BatchKernel::kAvx512}) {
-    if (BatchEval::kernel_available(k)) kernels.push_back(k);
-  }
-  return kernels;
 }
 
 /// Access decorator that throws OracleUnavailable for a chosen item set;
@@ -78,139 +66,58 @@ class FailingAccess final : public oracle::InstanceAccess {
   const oracle::InstanceAccess* inner_;
 };
 
-TEST(BatchEval, ScalarMatchesPerRequestWitnesses) {
-  const auto instance =
-      knapsack::make_family(knapsack::Family::kNeedle, 1'500, 17);
-  const oracle::MaterializedAccess access(instance);
-  const LcaKp lca(access, test_config());
-  const LcaKpRun run = lca.run_warmup(7, 1);
-
-  BatchEval eval(lca, run);
-  eval.set_kernel(BatchKernel::kScalar);
-
-  std::vector<std::size_t> items(instance.size());
-  for (std::size_t i = 0; i < items.size(); ++i) items[i] = i;
-  BatchScratch scratch;
-  eval.evaluate(items, scratch);
-
-  for (std::size_t i = 0; i < items.size(); ++i) {
+/// Asserts every lane of `scratch` equals the per-request reference.
+void expect_matches_reference(const LcaKp& lca, const LcaKpRun& run,
+                              const std::vector<std::size_t>& items,
+                              const BatchScratch& scratch) {
+  ASSERT_EQ(scratch.size, items.size());
+  for (std::size_t l = 0; l < items.size(); ++l) {
     LcaKp::AnswerWitness witness;
-    const bool answer = lca.answer_with_witness(run, i, witness);
-    ASSERT_EQ(scratch.status[i], LaneStatus::kOk);
-    ASSERT_EQ(scratch.answers[i] != 0, answer) << "item " << i;
-    ASSERT_EQ(scratch.large[i] != 0, witness.large) << "item " << i;
-    ASSERT_EQ(scratch.profits[i], witness.profit) << "item " << i;
-    ASSERT_EQ(scratch.weights[i], witness.weight) << "item " << i;
+    const bool answer = lca.answer_with_witness(run, items[l], witness);
+    ASSERT_EQ(scratch.status[l], LaneStatus::kOk) << "lane " << l;
+    ASSERT_EQ(scratch.answers[l] != 0, answer)
+        << "lane " << l << " item " << items[l];
+    ASSERT_EQ(scratch.large[l] != 0, witness.large)
+        << "lane " << l << " item " << items[l];
+    ASSERT_EQ(scratch.profits[l], witness.profit) << "lane " << l;
+    ASSERT_EQ(scratch.weights[l], witness.weight) << "lane " << l;
   }
 }
 
-// The exhaustive differential gate: randomized instances x batch sizes
-// (ragged tails, batch of 1, duplicates) x every kernel this binary + CPU
-// can run, each pinned byte-for-byte to the scalar reference.  In the
-// default build only kScalar is compiled and the vector loop is empty; the
-// LCAKNAP_NATIVE CI leg runs the AVX2/AVX-512 comparisons.
-TEST(BatchEval, DifferentialFuzzKernelsMatchScalar) {
-  const auto kernels = available_kernels();
+// Every item of three families (needle: a few large items; uncorrelated:
+// a spread of efficiencies around the small threshold; subset-sum: equal
+// efficiencies) in one batch, then random batches WITH duplicates over
+// ragged sizes — the shape the serving batcher actually produces — reusing
+// one scratch so a stale lane from a longer batch would show.
+TEST(BatchEval, ScalarMatchesPerRequestWitnesses) {
   const std::vector<std::size_t> batch_sizes = {1,  2,  3,  4,  5,   7,
                                                 8,  16, 31, 32, 33,  64,
                                                 127, 257};
   for (const auto family :
        {knapsack::Family::kNeedle, knapsack::Family::kUncorrelated,
         knapsack::Family::kSubsetSum}) {
-    const auto instance = knapsack::make_family(family, 1'000, 29);
+    SCOPED_TRACE(knapsack::family_name(family));
+    const auto instance = knapsack::make_family(family, 1'500, 17);
     const oracle::MaterializedAccess access(instance);
     const LcaKp lca(access, test_config(0.2));
     const LcaKpRun run = lca.run_warmup(11, 1);
-    BatchEval eval(lca, run);
+    const BatchEval eval(lca, run);
+    BatchScratch scratch;
+
+    std::vector<std::size_t> items(instance.size());
+    for (std::size_t i = 0; i < items.size(); ++i) items[i] = i;
+    eval.evaluate(items, scratch);
+    expect_matches_reference(lca, run, items, scratch);
 
     util::Xoshiro256 rng(0xF00D ^ static_cast<std::uint64_t>(family));
     for (const auto batch : batch_sizes) {
-      // Random items WITH duplicates (next_below can repeat), the shape the
-      // serving batcher actually produces.
-      std::vector<std::size_t> items(batch);
+      items.resize(batch);
       for (auto& item : items) {
         item = static_cast<std::size_t>(rng.next_below(instance.size()));
       }
-
-      BatchScratch reference;
-      eval.set_kernel(BatchKernel::kScalar);
-      eval.evaluate(items, reference);
-
-      // The scalar reference itself is pinned to the per-request path on a
-      // sampled lane (the full pin is ScalarMatchesPerRequestWitnesses).
-      {
-        LcaKp::AnswerWitness witness;
-        const bool answer = lca.answer_with_witness(run, items[0], witness);
-        ASSERT_EQ(reference.answers[0] != 0, answer);
-        ASSERT_EQ(reference.large[0] != 0, witness.large);
-      }
-
-      for (const auto kernel : kernels) {
-        if (kernel == BatchKernel::kScalar) continue;
-        BatchScratch vec;
-        eval.set_kernel(kernel);
-        eval.evaluate(items, vec);
-        for (std::size_t l = 0; l < batch; ++l) {
-          ASSERT_EQ(vec.answers[l], reference.answers[l])
-              << batch_kernel_name(kernel) << " family "
-              << knapsack::family_name(family) << " batch " << batch
-              << " lane " << l << " item " << items[l];
-          ASSERT_EQ(vec.large[l], reference.large[l])
-              << batch_kernel_name(kernel) << " lane " << l;
-          ASSERT_EQ(vec.profits[l], reference.profits[l]);
-          ASSERT_EQ(vec.weights[l], reference.weights[l]);
-          ASSERT_EQ(vec.status[l], reference.status[l]);
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchEval, GridLowerBoundIsTheExactBoundary) {
-  const iky::EfficiencyDomain domain(12);
-  for (const std::int64_t cell :
-       {std::int64_t{1}, std::int64_t{5}, domain.size() / 2,
-        domain.size() - 1}) {
-    const double bound = BatchEval::grid_lower_bound(domain, cell);
-    ASSERT_TRUE(std::isfinite(bound)) << "cell " << cell;
-    EXPECT_GE(domain.to_grid(bound), cell);
-    const double pred =
-        std::bit_cast<double>(std::bit_cast<std::uint64_t>(bound) - 1);
-    EXPECT_LT(domain.to_grid(pred), cell)
-        << "bound is not the SMALLEST double reaching cell " << cell;
-  }
-  // Cell 0 admits everything the answer path can produce.
-  EXPECT_EQ(BatchEval::grid_lower_bound(domain, 0),
-            -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(BatchEval::grid_lower_bound(domain, -3),
-            -std::numeric_limits<double>::infinity());
-  // Beyond the grid there is no boundary.
-  EXPECT_THROW((void)BatchEval::grid_lower_bound(domain, domain.size()),
-               std::invalid_argument);
-}
-
-// The algebraic identity the vector compare rests on:
-// to_grid(e) >= g  <=>  e >= grid_lower_bound(g), over the efficiencies the
-// answer path can produce (non-negative doubles and +inf).
-TEST(BatchEval, CutoffCompareEquivalentToGridCompare) {
-  const iky::EfficiencyDomain domain(10);
-  util::Xoshiro256 rng(0xC0FFEE);
-  for (const std::int64_t g :
-       {std::int64_t{1}, std::int64_t{37}, domain.size() - 1}) {
-    const double cutoff = BatchEval::grid_lower_bound(domain, g);
-    const auto check = [&](double e) {
-      ASSERT_EQ(domain.to_grid(e) >= g, e >= cutoff)
-          << "g=" << g << " e=" << e;
-    };
-    check(0.0);
-    check(std::numeric_limits<double>::infinity());
-    check(std::numeric_limits<double>::denorm_min());
-    check(cutoff);
-    check(std::bit_cast<double>(std::bit_cast<std::uint64_t>(cutoff) - 1));
-    for (int i = 0; i < 2'000; ++i) {
-      // Log-uniform over ~the grid's dynamic range, plus far outside it.
-      const double exponent = -40.0 + 80.0 * rng.next_double();
-      check(std::exp2(exponent) * (0.5 + rng.next_double()));
+      items.push_back(items.front());  // at least one duplicate lane
+      eval.evaluate(items, scratch);
+      expect_matches_reference(lca, run, items, scratch);
     }
   }
 }
@@ -245,30 +152,6 @@ TEST(BatchEval, LaneFaultIsolation) {
       EXPECT_EQ(scratch.answers[i] != 0, answer) << "item " << i;
       EXPECT_EQ(scratch.profits[i], witness.profit);
       EXPECT_EQ(scratch.weights[i], witness.weight);
-    }
-  }
-}
-
-TEST(BatchEval, KernelDispatchAndNames) {
-  EXPECT_STREQ(batch_kernel_name(BatchKernel::kScalar), "scalar");
-  EXPECT_STREQ(batch_kernel_name(BatchKernel::kAvx2), "avx2");
-  EXPECT_STREQ(batch_kernel_name(BatchKernel::kAvx512), "avx512");
-  EXPECT_TRUE(BatchEval::kernel_available(BatchKernel::kScalar));
-  EXPECT_TRUE(BatchEval::kernel_available(BatchEval::best_kernel()));
-
-  const auto instance =
-      knapsack::make_family(knapsack::Family::kNeedle, 300, 5);
-  const oracle::MaterializedAccess access(instance);
-  const LcaKp lca(access, test_config());
-  const LcaKpRun run = lca.run_warmup(1, 1);
-  BatchEval eval(lca, run);
-  EXPECT_EQ(eval.kernel(), BatchEval::best_kernel())
-      << "constructor starts on the best runtime-supported kernel";
-  eval.set_kernel(BatchKernel::kScalar);
-  EXPECT_EQ(eval.kernel(), BatchKernel::kScalar);
-  for (const auto k : {BatchKernel::kAvx2, BatchKernel::kAvx512}) {
-    if (!BatchEval::kernel_available(k)) {
-      EXPECT_THROW(eval.set_kernel(k), std::invalid_argument);
     }
   }
 }

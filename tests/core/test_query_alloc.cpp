@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "core/batch_eval.h"
 #include "core/lca_kp.h"
 #include "knapsack/generators.h"
 #include "oracle/access.h"
@@ -13,7 +15,8 @@
 /// has produced the membership rule, answering a query (`answer_from` =
 /// one oracle read + `decide`) must perform ZERO heap allocations — the
 /// steady-state request path of the serving engine touches only the shared
-/// read-only run state.  The global operator new below counts every
+/// read-only run state.  The batch path (`BatchEval::evaluate`) makes the
+/// same promise once its scratch has reached its high-water size.  The global operator new below counts every
 /// allocation in this binary, which is why this file is its own test
 /// executable (see tests/CMakeLists.txt) and stays away from the other
 /// suites.
@@ -83,6 +86,36 @@ TEST(QueryAllocation, DecideAllocatesNothing) {
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "decide allocated on the hot path";
+}
+
+TEST(QueryAllocation, SteadyStateBatchPathAllocatesNothing) {
+  const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 5'000, 9);
+  const oracle::MaterializedAccess access(inst);
+  LcaKpConfig config;
+  config.eps = 0.2;
+  config.quantile_samples = 40'000;
+  const LcaKp lca(access, config);
+  const auto run = lca.run_warmup(5, 1);
+  const BatchEval eval(lca, run);
+
+  constexpr std::size_t kLanes = 64;
+  std::vector<std::size_t> items(kLanes);
+  BatchScratch scratch;
+  // One warm-up batch grows the scratch columns to their high-water size.
+  for (std::size_t l = 0; l < kLanes; ++l) items[l] = l;
+  eval.evaluate(items, scratch);
+
+  volatile std::uint8_t sink = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t round = 1; round <= 200; ++round) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      items[l] = (round * kLanes + l * 7) % inst.size();
+    }
+    eval.evaluate(items, scratch);
+    sink = sink ^ scratch.answers[round % kLanes];
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "BatchEval::evaluate allocated on the hot path";
 }
 
 TEST(QueryAllocation, CounterSeesAllocations) {

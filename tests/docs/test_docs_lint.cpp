@@ -39,9 +39,10 @@
 /// contract, so CI holds it to two machine-checkable invariants:
 ///
 ///  1. every metric family the serving stack can export has a row in
-///     docs/OBSERVABILITY.md — enforced by instantiating every
-///     metric-producing component against the registry and diffing the
-///     registered family names against the doc text;
+///     docs/OBSERVABILITY.md, and every row there names a family the stack
+///     registers — enforced by instantiating every metric-producing
+///     component against the registry and diffing the registered family
+///     names against the catalogue in both directions;
 ///  2. every relative markdown link in README.md and docs/ resolves to a
 ///     file that exists in the repo.
 ///
@@ -190,6 +191,27 @@ TEST(DocsLint, EveryExportedMetricFamilyHasACatalogueRow) {
         << "metric family `" << family
         << "` is exported but has no row in docs/OBSERVABILITY.md";
   }
+
+  // The other direction: every catalogue row names a family the harness
+  // registered, so a row cannot outlive the metric it documents.  A row is
+  // a table line starting "| `"; its family is the first backticked name
+  // with any `{label}` suffix removed.
+  std::istringstream lines(doc);
+  std::string line;
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << "unterminated row name: " << line;
+    const std::string name = line.substr(3, end - 3);
+    const std::string family = name.substr(0, name.find('{'));
+    EXPECT_TRUE(families.contains(family))
+        << "docs/OBSERVABILITY.md has a row for `" << family
+        << "`, but no component in the harness registers it";
+    ++rows;
+  }
+  // The catalogue table was found, or the reverse check proves nothing.
+  EXPECT_GE(rows, 30u);
 }
 
 /// Extracts markdown link targets: every `](target)` occurrence.

@@ -29,8 +29,16 @@ struct CommandResult {
   std::string output;
 };
 
+/// A temp-file path private to the running test: ctest runs each case as its
+/// own process, concurrently under -j, so a shared name would let one case
+/// read another's output.
+std::string test_temp_path(const std::string& suffix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "fleet_" + info->name() + "_" + suffix;
+}
+
 CommandResult run(const std::string& binary, const std::string& args) {
-  const std::string out_file = ::testing::TempDir() + "fleet_out.txt";
+  const std::string out_file = test_temp_path("out.txt");
   const std::string command = binary + " " + args + " > " + out_file + " 2>&1";
   const int status = std::system(command.c_str());
   std::ifstream in(out_file);
@@ -55,7 +63,7 @@ bool json_bool(const std::string& json, const std::string& key) {
 }
 
 std::string make_instance() {
-  const std::string path = ::testing::TempDir() + "fleet_drill_instance.txt";
+  const std::string path = test_temp_path("instance.txt");
   const auto gen = run(
       kCli, "generate --family uncorrelated --n 3000 --seed 11 --out " + path);
   EXPECT_EQ(gen.exit_code, 0) << gen.output;

@@ -30,8 +30,17 @@ struct CommandResult {
   std::string output;
 };
 
+/// A temp-file path private to the running test.  gtest_discover_tests runs
+/// every case as its own process, so under `ctest -j` cases run at the same
+/// time; a file name shared between cases would let one case overwrite the
+/// instance or read the output of another.
+std::string test_temp_path(const std::string& suffix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "cli_" + info->name() + "_" + suffix;
+}
+
 CommandResult run(const std::string& args) {
-  const std::string out_file = ::testing::TempDir() + "cli_out.txt";
+  const std::string out_file = test_temp_path("out.txt");
   const std::string command = kCli + " " + args + " > " + out_file + " 2>&1";
   const int status = std::system(command.c_str());
   std::ifstream in(out_file);
@@ -40,7 +49,7 @@ CommandResult run(const std::string& args) {
   return {WEXITSTATUS(status), buffer.str()};
 }
 
-std::string temp_instance() { return ::testing::TempDir() + "cli_instance.txt"; }
+std::string temp_instance() { return test_temp_path("instance.txt"); }
 
 TEST(Cli, GenerateSolveServeEvalPipeline) {
   const std::string path = temp_instance();

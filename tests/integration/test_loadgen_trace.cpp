@@ -38,7 +38,11 @@ struct CommandResult {
 };
 
 CommandResult run_loadgen(const std::string& args) {
-  const std::string out_file = ::testing::TempDir() + "loadgen_out.txt";
+  // Named after the running test: ctest runs each case as its own process,
+  // concurrently under -j, so a shared output file would be a race.
+  const std::string out_file =
+      ::testing::TempDir() + "loadgen_out_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
   const std::string command =
       kLoadgen + " " + args + " > " + out_file + " 2>&1";
   const int status = std::system(command.c_str());

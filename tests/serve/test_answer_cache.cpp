@@ -146,7 +146,7 @@ TEST(AnswerCache, ConcurrentMixedTrafficConservesCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch operations (the vectorized answer path's cache interface).
+// Batch operations (the engine answer path's cache interface).
 // ---------------------------------------------------------------------------
 
 /// Drives the SAME operation sequence through the per-request API and the

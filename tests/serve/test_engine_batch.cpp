@@ -3,11 +3,15 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <limits>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/batch_eval.h"
+#include "cert/cert_log.h"
+#include "cert/certificate.h"
 #include "core/lca_kp.h"
 #include "fault/chaos.h"
 #include "knapsack/generators.h"
@@ -17,10 +21,11 @@
 #include "util/virtual_clock.h"
 
 /// \file test_engine_batch.cpp
-/// The engine's vectorized batch answer path (`EngineConfig::batch_eval`):
-/// answers, witnesses, counters, and failure semantics must be byte-identical
-/// to the per-request `execute_batch` path — the batch engine is a locality
-/// optimization, never a semantic fork.
+/// The engine's one answer path (`execute_batch_group`: shard-grouped cache
+/// operations around `core::BatchEval`): every answer and every certificate
+/// witness must equal the per-request reference
+/// `LcaKp::answer_with_witness` on the engine's run, and counters and
+/// failure semantics follow from the traffic alone.
 
 namespace lcaknap::serve {
 namespace {
@@ -62,15 +67,6 @@ class EngineBatchEval : public ::testing::Test {
     return config;
   }
 
-  /// Reads the `batch_eval_kernel` gauge (NaN when never registered).
-  static double kernel_gauge(metrics::Registry& registry) {
-    const auto snapshot = registry.snapshot();
-    for (const auto& gauge : snapshot.gauges) {
-      if (gauge.name == "batch_eval_kernel") return gauge.value;
-    }
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-
   /// Observation count of the `serve_batch_eval_us` histogram (0 if absent).
   static std::uint64_t batch_eval_observations(metrics::Registry& registry) {
     const auto snapshot = registry.snapshot();
@@ -90,89 +86,50 @@ const oracle::MaterializedAccess* EngineBatchEval::access_ = nullptr;
 const core::LcaKp* EngineBatchEval::lca_ = nullptr;
 
 TEST_F(EngineBatchEval, BatchPathMatchesPerRequestPath) {
-  metrics::Registry reg_batch, reg_single;
-  auto batch_config = fast_config();
-  batch_config.batch_eval = true;
-  auto single_config = fast_config();
-  single_config.batch_eval = false;
-  ServeEngine batched(*lca_, batch_config, reg_batch);
-  ServeEngine single(*lca_, single_config, reg_single);
+  metrics::Registry registry;
+  ServeEngine engine(*lca_, fast_config(), registry);
 
-  std::vector<std::future<Response>> batch_futures, single_futures;
-  for (std::size_t item = 0; item < 600; ++item) {
-    batch_futures.push_back(batched.submit(item % 400));
-    single_futures.push_back(single.submit(item % 400));
+  std::vector<std::future<Response>> futures;
+  for (std::size_t q = 0; q < 600; ++q) futures.push_back(engine.submit(q % 400));
+  for (std::size_t q = 0; q < futures.size(); ++q) {
+    const auto response = futures[q].get();
+    ASSERT_EQ(response.outcome, Outcome::kOk);
+    core::LcaKp::AnswerWitness witness;
+    EXPECT_EQ(response.answer,
+              lca_->answer_with_witness(engine.run(), q % 400, witness))
+        << "query " << q;
   }
-  for (std::size_t q = 0; q < batch_futures.size(); ++q) {
-    const auto from_batch = batch_futures[q].get();
-    const auto from_single = single_futures[q].get();
-    ASSERT_EQ(from_batch.outcome, Outcome::kOk);
-    ASSERT_EQ(from_single.outcome, Outcome::kOk);
-    EXPECT_EQ(from_batch.answer, from_single.answer) << "query " << q;
-    EXPECT_EQ(from_batch.answer, lca_->answer_from(batched.run(), q % 400));
-  }
-  batched.drain();
-  single.drain();
+  engine.drain();
 
-  const auto batch_stats = batched.stats();
-  EXPECT_GT(batch_stats.batch_eval_groups, 0u);
-  EXPECT_EQ(single.stats().batch_eval_groups, 0u);
-  EXPECT_EQ(batch_stats.submitted,
-            batch_stats.ok + batch_stats.overloaded +
-                batch_stats.deadline_exceeded + batch_stats.degraded +
-                batch_stats.errors);
-  // The histogram sees one observation per dispatch group that evaluated.
-  EXPECT_GT(batch_eval_observations(reg_batch), 0u);
-  EXPECT_EQ(batch_eval_observations(reg_single), 0u);
-}
-
-TEST_F(EngineBatchEval, KernelGaugeReflectsTheActivePath) {
-  metrics::Registry reg_on, reg_off;
-  auto on = fast_config();
-  on.batch_eval = true;
-  auto off = fast_config();
-  off.batch_eval = false;
-  ServeEngine engine_on(*lca_, on, reg_on);
-  ServeEngine engine_off(*lca_, off, reg_off);
-  // The engine starts on the best kernel the build + CPU offer; the gauge
-  // exports the same enum value the accessor reports.
-  EXPECT_EQ(engine_on.batch_kernel(), core::BatchEval::best_kernel());
-  EXPECT_EQ(kernel_gauge(reg_on),
-            static_cast<double>(static_cast<int>(engine_on.batch_kernel())));
-  // Disabled path: accessor falls back to kScalar, gauge exports -1.
-  EXPECT_EQ(engine_off.batch_kernel(), core::BatchKernel::kScalar);
-  EXPECT_EQ(kernel_gauge(reg_off), -1.0);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.submitted, stats.ok + stats.overloaded +
+                                 stats.deadline_exceeded + stats.degraded +
+                                 stats.errors);
+  // The histogram sees one observation per dispatch group with a miss.
+  EXPECT_GT(batch_eval_observations(registry), 0u);
 }
 
 TEST_F(EngineBatchEval, CacheCountersMatchPerRequestPath) {
-  metrics::Registry reg_batch, reg_single;
-  auto batch_config = fast_config();
-  batch_config.batch_eval = true;
-  auto single_config = fast_config();
-  single_config.batch_eval = false;
-  ServeEngine batched(*lca_, batch_config, reg_batch);
-  ServeEngine single(*lca_, single_config, reg_single);
-  // Sequential identical traffic: every engine-visible cache counter must
-  // agree between the two paths (hits, misses, and by implication puts).
+  metrics::Registry registry;
+  ServeEngine engine(*lca_, fast_config(), registry);
+  // Sequential traffic, one lookup per request: (q * 13) % 120 visits all
+  // 120 items in its first 120 requests (13 is coprime to 120), so each
+  // item misses exactly once and every later request hits.  The cache
+  // holds 1,024 entries, far above the 120-item working set.
   for (std::size_t q = 0; q < 900; ++q) {
     const std::size_t item = (q * 13) % 120;
-    ASSERT_EQ(batched.submit_wait(item).outcome, Outcome::kOk);
-    ASSERT_EQ(single.submit_wait(item).outcome, Outcome::kOk);
+    ASSERT_EQ(engine.submit_wait(item).outcome, Outcome::kOk);
   }
-  batched.drain();
-  single.drain();
-  const auto batch_stats = batched.stats();
-  const auto single_stats = single.stats();
-  EXPECT_EQ(batch_stats.cache_hits + batch_stats.cache_misses, 900u);
-  EXPECT_EQ(batch_stats.cache_hits, single_stats.cache_hits);
-  EXPECT_EQ(batch_stats.cache_misses, single_stats.cache_misses);
-  EXPECT_EQ(batch_stats.cache_evictions, single_stats.cache_evictions);
+  engine.drain();
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 120u);
+  EXPECT_EQ(stats.cache_hits, 780u);
+  EXPECT_EQ(stats.cache_evictions, 0u);
 }
 
 TEST_F(EngineBatchEval, ParanoiaRecheckRunsOnBatchPathWithoutViolations) {
   metrics::Registry registry;
   auto config = fast_config();
-  config.batch_eval = true;
   config.cache.paranoia_every = 1;  // recheck every hit
   ServeEngine engine(*lca_, config, registry);
   std::vector<std::future<Response>> futures;
@@ -185,8 +142,8 @@ TEST_F(EngineBatchEval, ParanoiaRecheckRunsOnBatchPathWithoutViolations) {
   engine.drain();
   const auto stats = engine.stats();
   EXPECT_GT(stats.paranoia_checks, 0u);
-  // Definition 2.3: the scalar recheck can never disagree with a cache entry
-  // the batch kernels produced — byte-equality makes paranoia mode quiet.
+  // Definition 2.3: the recheck runs the same LcaKp rule that filled the
+  // cache entry, so paranoia mode stays quiet.
   EXPECT_EQ(stats.paranoia_violations, 0u);
 }
 
@@ -197,7 +154,6 @@ TEST_F(EngineBatchEval, CertificatesFlowFromBatchWitnesses) {
   std::filesystem::create_directories(cert_dir);
   metrics::Registry registry;
   auto config = fast_config();
-  config.batch_eval = true;
   config.certify = true;
   config.cert_dir = cert_dir.string();
   {
@@ -210,6 +166,30 @@ TEST_F(EngineBatchEval, CertificatesFlowFromBatchWitnesses) {
     // Every kOk answer carried a witness — nothing skipped certification.
     EXPECT_EQ(stats.cert_records, 200u);
     EXPECT_EQ(stats.cert_skipped, 0u);
+
+    // Every record's witness is the reference evaluation on the engine's run.
+    std::size_t records = 0;
+    for (const auto& path : cert::CertLog::list_segments(cert_dir.string())) {
+      std::ifstream in(path, std::ios::binary);
+      const std::string bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      ASSERT_GE(bytes.size(), cert::kCertHeaderBytes) << path;
+      for (std::size_t at = cert::kCertHeaderBytes; at < bytes.size();
+           at += cert::kCertRecordBytes) {
+        const cert::CertRecord record = cert::decode_record(
+            std::string_view(bytes).substr(at, cert::kCertRecordBytes));
+        core::LcaKp::AnswerWitness witness;
+        const bool answer =
+            lca_->answer_with_witness(engine.run(), record.item, witness);
+        EXPECT_EQ(record.answer, answer) << "item " << record.item;
+        EXPECT_EQ(record.profit, witness.profit) << "item " << record.item;
+        EXPECT_EQ(record.weight, witness.weight) << "item " << record.item;
+        EXPECT_EQ(record.case_tag, cert::case_of(witness))
+            << "item " << record.item;
+        ++records;
+      }
+    }
+    EXPECT_EQ(records, 200u);
   }
   std::filesystem::remove_all(cert_dir);
 }
@@ -217,7 +197,6 @@ TEST_F(EngineBatchEval, CertificatesFlowFromBatchWitnesses) {
 TEST_F(EngineBatchEval, ExpiredDeadlinesAreShedOnTheBatchPath) {
   metrics::Registry registry;
   auto config = fast_config();
-  config.batch_eval = true;
   ServeEngine engine(*lca_, config, registry);
   const auto response = engine.submit(3, 0us).get();
   EXPECT_EQ(response.outcome, Outcome::kDeadlineExceeded);
@@ -228,7 +207,6 @@ TEST_F(EngineBatchEval, ExpiredDeadlinesAreShedOnTheBatchPath) {
 TEST_F(EngineBatchEval, OutOfRangeItemYieldsErrorNotCrash) {
   metrics::Registry registry;
   auto config = fast_config();
-  config.batch_eval = true;
   ServeEngine engine(*lca_, config, registry);
   EXPECT_EQ(engine.submit_wait(instance_->size() + 10).outcome, Outcome::kError);
   EXPECT_EQ(engine.submit_wait(0).outcome, Outcome::kOk);
@@ -239,7 +217,6 @@ TEST_F(EngineBatchEval, OutOfRangeItemYieldsErrorNotCrash) {
 TEST_F(EngineBatchEval, DegradedModeAnswersThroughAnOutage) {
   metrics::Registry registry;
   auto config = fast_config();
-  config.batch_eval = true;
   config.degrade = true;
   // A dead oracle behind the batch path: per-lane fault isolation must turn
   // every miss into the documented degraded fallback, not an error.

@@ -103,13 +103,15 @@ TEST_F(EngineCallbackTest, CallbackPathAnswersMatchDirectEvaluation) {
   ServeEngine engine(*lca_, fast_config(), registry);
   constexpr std::size_t kItems = 300;
   std::vector<std::atomic<int>> fired(kItems);
-  std::vector<bool> answers(kItems, false);
+  // Callbacks run on several workers at once, so each slot is its own atomic
+  // (a std::vector<bool> packs slots into shared words: a data race).
+  std::vector<std::atomic<bool>> answers(kItems);
   Collector collector;
   collector.expect(kItems);
   for (std::size_t item = 0; item < kItems; ++item) {
     engine.submit(item, [&, item](const Response& response) {
       fired[item].fetch_add(1, std::memory_order_relaxed);
-      answers[item] = response.answer;
+      answers[item].store(response.answer, std::memory_order_relaxed);
       EXPECT_EQ(response.outcome, Outcome::kOk);
       collector.callback()(response);
     });
@@ -118,7 +120,7 @@ TEST_F(EngineCallbackTest, CallbackPathAnswersMatchDirectEvaluation) {
   engine.drain();
   for (std::size_t item = 0; item < kItems; ++item) {
     EXPECT_EQ(fired[item].load(), 1) << "callback fired != once for " << item;
-    EXPECT_EQ(answers[item], lca_->answer_from(engine.run(), item))
+    EXPECT_EQ(answers[item].load(), lca_->answer_from(engine.run(), item))
         << "item " << item;
   }
 }

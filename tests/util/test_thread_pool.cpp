@@ -58,7 +58,10 @@ TEST(ThreadPool, WaitIdleRethrowsTaskException) {
 }
 
 TEST(ThreadPool, RethrowFirstKeepsRunningRemainingTasks) {
-  ThreadPool pool(2);
+  // One worker, so capture order is submission order: wait_idle promises
+  // the first *captured* exception, and with more workers the "second"
+  // throw can be captured while the "first" is still unwinding.
+  ThreadPool pool(1);
   std::atomic<int> completed{0};
   pool.submit([] { throw std::logic_error("first"); });
   for (int i = 0; i < 50; ++i) {

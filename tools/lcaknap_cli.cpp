@@ -655,7 +655,7 @@ core::WorkloadConfig::Shape parse_shape(const std::string& name) {
 /// runs of the same flags produce the same per-epoch accounting.  Every
 /// advance goes through `dyn::EpochedState` (delta warm-up where provably
 /// sound, full re-warm-up otherwise) and `ServeEngine::advance_epoch`
-/// (cache generation bump, fresh BatchEval).  Exit 2 if any response
+/// (cache generation bump, new warm state).  Exit 2 if any response
 /// arrives attributed to an epoch that was never installed.
 int cmd_serve_engine_updates(const Args& args) {
   for (const char* conflict : {"chaos-plan", "snapshot-dir", "certify"}) {
