@@ -34,7 +34,7 @@
 #include "cert/certificate.h"
 #include "cert/verifier.h"
 #include "core/lca_kp.h"
-#include "core/serving_sim.h"
+#include "core/workload.h"
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
 #include "oracle/access.h"

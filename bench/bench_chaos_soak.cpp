@@ -24,13 +24,13 @@
 #include <vector>
 
 #include "core/lca_kp.h"
-#include "core/serving_sim.h"
+#include "core/workload.h"
 #include "fault/chaos.h"
 #include "fault/circuit_breaker.h"
 #include "fault/verifying.h"
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 #include "serve/engine.h"
 #include "util/rng.h"
 #include "util/table.h"

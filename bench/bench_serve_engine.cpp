@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/lca_kp.h"
-#include "core/serving_sim.h"
+#include "core/workload.h"
 #include "knapsack/generators.h"
 #include "oracle/access.h"
 #include "serve/engine.h"

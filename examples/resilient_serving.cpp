@@ -23,7 +23,7 @@
 #include "metrics/exporters.h"
 #include "metrics/metrics.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 #include "oracle/instrumented.h"
 #include "oracle/latency_model.h"
 #include "util/table.h"
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   lying.corrupt_rate = 0.3;
   const fault::ChaosAccess corrupting(storage, fault::FaultPlan({lying}, /*seed=*/53));
   const fault::VerifyingAccess guard(corrupting);
-  const oracle::RetryingAccess healed(guard, /*max_attempts=*/32);
+  const oracle::RetryingAccess healed(guard, oracle::RetryConfig{.max_attempts = 32});
   std::size_t wrong = 0;
   for (std::size_t i = 0; i < 1'000; ++i) {
     wrong += healed.query(i) == instance.item(i) ? 0 : 1;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <iostream>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -449,49 +448,6 @@ bool LcaKp::answer_with_witness(const LcaKpRun& run, std::size_t i,
 bool LcaKp::answer(std::size_t i, util::Xoshiro256& sample_rng) const {
   const LcaKpRun run = run_pipeline(sample_rng);
   return answer_from(run, i);
-}
-
-void save_run(const LcaKpRun& run, std::ostream& os) {
-  os << "lcakp-run 1\n";
-  std::vector<std::size_t> sorted(run.index_large.begin(), run.index_large.end());
-  std::sort(sorted.begin(), sorted.end());
-  os << sorted.size();
-  for (const auto i : sorted) os << " " << i;
-  os << "\n"
-     << run.e_small_grid << " " << (run.singleton ? 1 : 0) << " "
-     << (run.degenerate ? 1 : 0) << "\n";
-  os << run.thresholds_grid.size();
-  for (const auto g : run.thresholds_grid) os << " " << g;
-  os << "\n";
-}
-
-LcaKpRun load_run(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "lcakp-run" || version != 1) {
-    throw std::runtime_error("load_run: bad header");
-  }
-  LcaKpRun run;
-  std::size_t large_count = 0;
-  if (!(is >> large_count)) throw std::runtime_error("load_run: bad large count");
-  for (std::size_t k = 0; k < large_count; ++k) {
-    std::size_t index = 0;
-    if (!(is >> index)) throw std::runtime_error("load_run: truncated large list");
-    run.index_large.insert(index);
-  }
-  int singleton = 0, degenerate = 0;
-  if (!(is >> run.e_small_grid >> singleton >> degenerate)) {
-    throw std::runtime_error("load_run: bad rule line");
-  }
-  run.singleton = singleton != 0;
-  run.degenerate = degenerate != 0;
-  std::size_t threshold_count = 0;
-  if (!(is >> threshold_count)) throw std::runtime_error("load_run: bad EPS count");
-  run.thresholds_grid.resize(threshold_count);
-  for (auto& g : run.thresholds_grid) {
-    if (!(is >> g)) throw std::runtime_error("load_run: truncated EPS");
-  }
-  return run;
 }
 
 }  // namespace lcaknap::core

@@ -2,7 +2,6 @@
 #define LCAKNAP_CORE_LCA_KP_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -267,13 +266,6 @@ class LcaKp final : public Lca {
 /// identical answers; the determinism suite pins digest equality across
 /// `warmup_threads` and the warm-up bench reports it.
 [[nodiscard]] std::uint64_t run_digest(const LcaKpRun& run);
-
-/// Serializes a run's membership rule (and EPS diagnostics) as plain text.
-/// Deployment shape: one warm-up process executes the pipeline, persists the
-/// run, and stateless serving replicas load it — their answers are identical
-/// to the warm-up replica's by construction.
-void save_run(const LcaKpRun& run, std::ostream& os);
-[[nodiscard]] LcaKpRun load_run(std::istream& is);
 
 }  // namespace lcaknap::core
 

@@ -12,10 +12,9 @@
 
 /// \file chaos.h
 /// `ChaosAccess`: an `InstanceAccess` decorator that executes a `FaultPlan`
-/// against the wrapped oracle.  This supersedes ad-hoc `FlakyAccess` usage
-/// for scenario testing — `FlakyAccess` remains as the single-phase,
-/// fail-stop-only special case (a one-phase plan with only `fail_rate` set
-/// behaves identically up to RNG choice).
+/// against the wrapped oracle.  It is the one fault injector: a single-rate
+/// flaky oracle is a one-phase plan with only `fail_rate` set, e.g.
+/// `parse_fault_plan("flaky:0:fail=0.1", seed)`; a dead one is `fail=1`.
 ///
 /// Per call: (1) look up the active phase from elapsed clock time since
 /// arming, (2) draw latency / fail-stop / corruption decisions as pure

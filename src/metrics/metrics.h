@@ -20,10 +20,10 @@
 /// ad-hoc per-bench counter reads.  Four instrument kinds:
 ///
 ///  * `Counter`   — monotonic u64 (e.g. `oracle_queries_total`);
-///  * `Gauge`     — settable double (e.g. `serving_warmup_sim_ms`);
+///  * `Gauge`     — settable double (e.g. `fault_plan_phase`);
 ///  * `Histogram` — fixed cumulative buckets with count/sum and
 ///                  interpolated percentile readout (e.g.
-///                  `serving_query_latency_us`);
+///                  `serve_request_latency_us`);
 ///  * `ScopedTimer` — RAII span that observes its elapsed wall time, in
 ///                  microseconds, into a histogram.
 ///

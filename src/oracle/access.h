@@ -38,7 +38,7 @@ struct WeightedDraw {
   knapsack::Item item;
 };
 
-/// Thrown by unreliable oracles (see flaky.h) to model a transient failure
+/// Thrown by unreliable oracles (see fault/chaos.h) to model a transient failure
 /// of the (conceptually remote) input service.
 class OracleUnavailable : public std::exception {
  public:

@@ -22,11 +22,10 @@
 /// \file engine.h
 /// The concurrent serving engine: queue → batcher → worker pool → cache.
 ///
-/// `core/serving_sim` *simulates* a fleet (latency drawn from an RPC model,
-/// queries executed one at a time); this engine is the real request path the
-/// paper's model promises is possible: per-query work independent of n and
-/// of the query interleaving.  One warm-up pipeline execution happens at
-/// construction (the Theorem 4.1 one-time cost); afterwards every admitted
+/// This engine is the request path the paper's model promises is possible:
+/// per-query work independent of n and of the query interleaving.  One
+/// warm-up pipeline execution happens at construction (the Theorem 4.1
+/// one-time cost); afterwards every admitted
 /// request is answered from the shared `LcaKpRun` — a read-only membership
 /// rule all workers consult concurrently, which is exactly the shared-seed
 /// replica of Definition 2.3.

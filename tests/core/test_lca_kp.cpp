@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "core/mapping_greedy.h"
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "iky/eps.h"
 #include "knapsack/generators.h"
 #include "knapsack/solvers/solve.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 
 namespace lcaknap::core {
 namespace {
@@ -192,8 +194,8 @@ TEST(LcaKp, WorksThroughRetryingFlakyOracle) {
   // the nature of the results (retries only consume fresh randomness).
   const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 3'000, 55);
   const oracle::MaterializedAccess inner(inst);
-  const oracle::FlakyAccess flaky(inner, 0.2, 56);
-  const oracle::RetryingAccess retrying(flaky, 64);
+  const fault::ChaosAccess flaky(inner, fault::parse_fault_plan("flaky:0:fail=0.2", 56));
+  const oracle::RetryingAccess retrying(flaky, oracle::RetryConfig{.max_attempts = 64});
   const LcaKp lca(retrying, test_config());
   util::Xoshiro256 rng(57);
   const auto run = lca.run_pipeline(rng);

@@ -1,9 +1,9 @@
-// Focused coverage for `generate_workload`, the trace generator both the
-// serving simulator and the concurrent serving engine replay: determinism
-// per seed for every shape, the Zipf-exponent dial behaving monotonically,
-// and hotspot traffic accounting.
+// Focused coverage for `generate_workload`, the trace generator the serving
+// engine replays: coverage and validation, determinism per seed for every
+// shape, the Zipf-exponent dial behaving monotonically, and hotspot traffic
+// accounting.
 
-#include "core/serving_sim.h"
+#include "core/workload.h"
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,50 @@ double top_k_share(const std::vector<std::size_t>& trace, std::size_t k) {
   std::size_t top = 0;
   for (std::size_t i = 0; i < std::min(k, sorted.size()); ++i) top += sorted[i];
   return static_cast<double>(top) / static_cast<double>(trace.size());
+}
+
+TEST(Workload, UniformCoversTheIndexSpace) {
+  WorkloadConfig config;
+  config.queries = 50'000;
+  const auto trace = generate_workload(100, config);
+  ASSERT_EQ(trace.size(), 50'000u);
+  for (const auto i : trace) ASSERT_LT(i, 100u);
+  const auto counts = frequencies(trace);
+  EXPECT_EQ(counts.size(), 100u);
+  for (const auto& [item, count] : counts) {
+    EXPECT_NEAR(static_cast<double>(count), 500.0, 150.0);
+  }
+}
+
+TEST(Workload, ZipfIsHeavilySkewed) {
+  WorkloadConfig config;
+  config.shape = WorkloadConfig::Shape::kZipf;
+  config.queries = 50'000;
+  config.zipf_s = 1.2;
+  // The top item dominates; the top 10 carry a large share.
+  EXPECT_GT(top_k_share(generate_workload(10'000, config), 10), 0.4);
+}
+
+TEST(Workload, HotspotRoutesTheConfiguredFraction) {
+  WorkloadConfig config;
+  config.shape = WorkloadConfig::Shape::kHotspot;
+  config.queries = 50'000;
+  config.hotspot_fraction = 0.8;
+  config.hotspot_items = 4;
+  EXPECT_NEAR(top_k_share(generate_workload(100'000, config), 4), 0.8, 0.05);
+}
+
+TEST(Workload, DeterministicPerSeedAndValidates) {
+  WorkloadConfig config;
+  config.queries = 100;
+  EXPECT_EQ(generate_workload(50, config), generate_workload(50, config));
+  EXPECT_THROW((void)generate_workload(0, config), std::invalid_argument);
+  config.shape = WorkloadConfig::Shape::kZipf;
+  config.zipf_s = 0.0;
+  EXPECT_THROW((void)generate_workload(50, config), std::invalid_argument);
+  config.shape = WorkloadConfig::Shape::kHotspot;
+  config.hotspot_items = 0;
+  EXPECT_THROW((void)generate_workload(50, config), std::invalid_argument);
 }
 
 TEST(Workload, AllShapesAreDeterministicPerSeed) {

@@ -11,7 +11,6 @@
 #include "cert/cert_log.h"
 #include "cert/verifier.h"
 #include "core/lca_kp.h"
-#include "core/serving_sim.h"
 #include "dyn/epoch_state.h"
 #include "fault/chaos.h"
 #include "fault/circuit_breaker.h"
@@ -27,7 +26,7 @@
 #include "net/server.h"
 #include "net/session.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 #include "oracle/instrumented.h"
 #include "oracle/sharded.h"
 #include "serve/engine.h"
@@ -75,14 +74,16 @@ TEST(DocsLint, EveryExportedMetricFamilyHasACatalogueRow) {
 
   // Instantiate (and lightly exercise) every metric-producing component so
   // each family registers.  This test binary owns the global registry:
-  // everything below lands there, including simulate_serving's families.
+  // everything below lands there.
   auto& registry = metrics::global_registry();
   const auto inst =
       knapsack::make_family(knapsack::Family::kUncorrelated, 300, 4);
   const oracle::MaterializedAccess storage(inst);
   const oracle::InstrumentedAccess instrumented(
       storage, registry, oracle::LatencyModel{});  // + oracle_access_latency_us
-  const oracle::FlakyAccess flaky(instrumented, 0.01, 0xF1A, registry);
+  const fault::ChaosAccess flaky(instrumented,
+                                 fault::parse_fault_plan("flaky:0:fail=0.01", 0xF1A),
+                                 util::system_clock(), /*armed=*/true, registry);
   const oracle::RetryingAccess retrying(flaky, oracle::RetryConfig{},
                                         util::system_clock(), registry);
   const oracle::ShardedAccess sharded(inst, 4, registry);
@@ -165,14 +166,6 @@ TEST(DocsLint, EveryExportedMetricFamilyHasACatalogueRow) {
     const dyn::EpochedState epoched(
         knapsack::make_family(knapsack::Family::kUncorrelated, 200, 5),
         dyn_config, registry);
-  }
-  {
-    core::ServingConfig serving;
-    serving.lca = lca_config;
-    serving.replicas = 1;
-    core::WorkloadConfig workload;
-    workload.queries = 20;
-    (void)core::simulate_serving(inst, serving, workload, nullptr);
   }
   std::filesystem::remove_all(tmp);
 

@@ -50,6 +50,17 @@ TEST(ChaosAccess, FailStopRateHonored) {
             static_cast<std::uint64_t>(failures));
 }
 
+TEST(ChaosAccess, ZeroRateNeverFails) {
+  const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 10, 2);
+  const oracle::MaterializedAccess inner(inst);
+  util::VirtualClock clock;
+  metrics::Registry registry;
+  const ChaosAccess chaos(inner, hold_plan(0.0), clock, /*armed=*/true, registry);
+  for (int i = 0; i < 1000; ++i) EXPECT_NO_THROW((void)chaos.query(0));
+  EXPECT_EQ(chaos.failstops_injected(), 0u);
+  EXPECT_EQ(chaos.calls_seen(), 1000u);
+}
+
 TEST(ChaosAccess, SameSeedSameFaultSequence) {
   const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 40, 2);
   const oracle::MaterializedAccess inner(inst);

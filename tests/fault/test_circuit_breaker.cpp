@@ -4,9 +4,10 @@
 
 #include <limits>
 
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
-#include "oracle/flaky.h"
 #include "util/virtual_clock.h"
 
 namespace lcaknap::fault {
@@ -191,10 +192,11 @@ TEST(BreakerAccess, OpenBreakerSkipsInnerOracle) {
   const oracle::MaterializedAccess storage(inst);
   util::VirtualClock clock;
   metrics::Registry registry;
-  const oracle::FlakyAccess dead(storage, 0.999999, /*seed=*/5, registry);
+  const ChaosAccess dead(storage, parse_fault_plan("dead:0:fail=1", /*seed=*/5),
+                         util::system_clock(), /*armed=*/true, registry);
   const BreakerAccess guarded(dead, small_config(), clock, registry);
 
-  // Drive the breaker open against the (effectively) dead oracle.
+  // Drive the breaker open against the dead oracle.
   for (int i = 0; i < 3; ++i) {
     EXPECT_THROW((void)guarded.query(0), oracle::OracleUnavailable);
   }

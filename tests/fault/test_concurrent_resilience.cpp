@@ -6,9 +6,10 @@
 
 #include "fault/chaos.h"
 #include "fault/circuit_breaker.h"
+#include "fault/plan.h"
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 #include "util/virtual_clock.h"
 
 /// Multi-threaded hammers for the resilience layer (run under TSan in CI,
@@ -27,7 +28,8 @@ TEST(ConcurrentResilience, BreakerHammerConservesOutcomes) {
   const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 64, 1);
   const oracle::MaterializedAccess storage(inst);
   metrics::Registry registry;
-  const oracle::FlakyAccess flaky(storage, 0.3, /*seed=*/21, registry);
+  const ChaosAccess flaky(storage, parse_fault_plan("flaky:0:fail=0.3", /*seed=*/21),
+                          util::system_clock(), /*armed=*/true, registry);
   util::VirtualClock clock;
   CircuitBreakerConfig config;
   config.window = 16;
@@ -65,9 +67,9 @@ TEST(ConcurrentResilience, BreakerHammerConservesOutcomes) {
   EXPECT_EQ(ok.load() + unavailable.load() + rejected.load(), total);
   // Call conservation: exactly the non-rejected calls reached the inner
   // oracle, and each of those either succeeded or saw an injected failure.
-  EXPECT_EQ(storage.query_count() + flaky.failures_injected(), total - rejected.load());
+  EXPECT_EQ(storage.query_count() + flaky.failstops_injected(), total - rejected.load());
   EXPECT_EQ(storage.query_count(), ok.load());
-  EXPECT_EQ(flaky.failures_injected(), unavailable.load());
+  EXPECT_EQ(flaky.failstops_injected(), unavailable.load());
   // Rejections are what the breaker says it rejected.
   const auto counters = guarded.breaker().counters();
   EXPECT_EQ(counters.rejected, rejected.load());
@@ -83,7 +85,8 @@ TEST(ConcurrentResilience, RetryBudgetAccountingStaysBounded) {
   const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 64, 2);
   const oracle::MaterializedAccess storage(inst);
   metrics::Registry registry;
-  const oracle::FlakyAccess flaky(storage, 0.4, /*seed=*/33, registry);
+  const ChaosAccess flaky(storage, parse_fault_plan("flaky:0:fail=0.4", /*seed=*/33),
+                          util::system_clock(), /*armed=*/true, registry);
   util::VirtualClock clock;
   oracle::RetryConfig config;
   config.max_attempts = 5;
@@ -114,7 +117,7 @@ TEST(ConcurrentResilience, RetryBudgetAccountingStaysBounded) {
       static_cast<std::uint64_t>(kThreads) * kCallsPerThread;
   EXPECT_EQ(ok.load() + failed.load(), total);
   // Inner-call conservation: every inner call is a first attempt or a retry.
-  EXPECT_EQ(storage.query_count() + flaky.failures_injected(),
+  EXPECT_EQ(storage.query_count() + flaky.failstops_injected(),
             total + retrying.retries_performed());
   // Budget accounting under contention is optimistically relaxed: each
   // concurrent caller may overspend by at most one token, so total retries

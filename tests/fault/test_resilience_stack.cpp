@@ -10,7 +10,7 @@
 #include "fault/verifying.h"
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 #include "util/virtual_clock.h"
 
 /// The ISSUE acceptance tests for the resilience layer as a whole:
@@ -189,7 +189,8 @@ TEST_F(StackConsistencyTest, VerifierHealsCorruptingPlan) {
   ChaosAccess chaos(storage_, FaultPlan({corrupting}, 0xD00D), clock,
                     /*armed=*/false, registry);
   const VerifyingAccess verified(chaos, registry);
-  const oracle::RetryingAccess retrying(verified, /*max_attempts=*/32, registry);
+  const oracle::RetryingAccess retrying(verified, oracle::RetryConfig{.max_attempts = 32},
+                                        util::system_clock(), registry);
   const auto answers = answers_through(chaos, retrying, clock);
   EXPECT_EQ(answers, baseline_answers());
   EXPECT_GT(chaos.corruptions_injected(), 0u);

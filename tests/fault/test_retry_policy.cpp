@@ -5,7 +5,7 @@
 
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 #include "util/virtual_clock.h"
 
 namespace lcaknap::oracle {
@@ -172,10 +172,10 @@ TEST_F(RetryPolicyTest, AttemptTimeoutCapsRetryTime) {
 
 TEST_F(RetryPolicyTest, LegacyShapeRetriesImmediately) {
   const ScriptedAccess flaky_twice(storage_, {true, true, false});
-  const RetryingAccess retrying(flaky_twice, /*max_attempts=*/16, registry_);
+  const RetryingAccess retrying(flaky_twice, RetryConfig{}, clock_, registry_);
   EXPECT_EQ(retrying.query(5), inst_.item(5));
   EXPECT_EQ(retrying.retries_performed(), 2u);
-  EXPECT_EQ(retrying.backoff_slept_us(), 0u);  // no backoff in legacy shape
+  EXPECT_EQ(retrying.backoff_slept_us(), 0u);  // defaults: no backoff
   EXPECT_EQ(retrying.timed_out(), 0u);
   EXPECT_EQ(retrying.budget_exhausted(), 0u);
 }

@@ -6,7 +6,7 @@
 
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 
 namespace lcaknap::fault {
 namespace {
@@ -115,7 +115,8 @@ TEST_F(VerifyingTest, DetectionIsRetryable) {
       item.weight = -1;
     }
   };
-  const oracle::RetryingAccess retrying(verifying_, /*max_attempts=*/4, registry_);
+  const oracle::RetryingAccess retrying(verifying_, oracle::RetryConfig{.max_attempts = 4},
+                                        util::system_clock(), registry_);
   EXPECT_EQ(retrying.query(2), inst_.item(2));
   EXPECT_EQ(retrying.retries_performed(), 1u);
 }

@@ -128,6 +128,15 @@ TEST(FleetDrill, UsageErrorsExitOne) {
   EXPECT_EQ(run(kFleet, "map --groups 0").exit_code, 1);  // empty ring
 }
 
+TEST(FleetDrill, UnknownFlagsAndMalformedNumbersExitOne) {
+  // Each subcommand accepts only its own flags; integers are decimal or 0x
+  // hex and must parse as a whole token.
+  EXPECT_EQ(run(kFleet, "map --groups 3 --tenant-lst default").exit_code, 1);
+  EXPECT_EQ(run(kFleet, "map --groups 3x").exit_code, 1);
+  EXPECT_EQ(run(kFleet, "map --groups 3 --json").exit_code, 1);  // drill/check only
+  EXPECT_EQ(run(kFleet, "map --groups 0x3 --tenant-list default").exit_code, 0);
+}
+
 TEST(FleetDrill, MapSubcommandPinsPlacementsAcrossProcesses) {
   // The same golden placements tests/fleet/test_map.cpp pins in-process,
   // observed through the CLI — placement is a cross-process contract.

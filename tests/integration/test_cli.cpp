@@ -1,8 +1,10 @@
-// Drives the lcaknap_cli binary end-to-end through std::system.  The binary
-// path is injected by CMake as LCAKNAP_CLI_PATH.
+// Drives the lcaknap_cli and lcaknap_verify_log binaries end-to-end through
+// std::system.  The binary paths are injected by CMake as LCAKNAP_CLI_PATH
+// and LCAKNAP_VERIFY_LOG_PATH.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
@@ -19,11 +21,12 @@
 
 namespace {
 
-#ifndef LCAKNAP_CLI_PATH
-#error "LCAKNAP_CLI_PATH must be defined by the build"
+#if !defined(LCAKNAP_CLI_PATH) || !defined(LCAKNAP_VERIFY_LOG_PATH)
+#error "LCAKNAP_CLI_PATH and LCAKNAP_VERIFY_LOG_PATH must be defined by the build"
 #endif
 
 const std::string kCli = LCAKNAP_CLI_PATH;
+const std::string kVerifyLog = LCAKNAP_VERIFY_LOG_PATH;
 
 struct CommandResult {
   int exit_code;
@@ -39,9 +42,9 @@ std::string test_temp_path(const std::string& suffix) {
   return ::testing::TempDir() + "cli_" + info->name() + "_" + suffix;
 }
 
-CommandResult run(const std::string& args) {
+CommandResult run_binary(const std::string& binary, const std::string& args) {
   const std::string out_file = test_temp_path("out.txt");
-  const std::string command = kCli + " " + args + " > " + out_file + " 2>&1";
+  const std::string command = binary + " " + args + " > " + out_file + " 2>&1";
   const int status = std::system(command.c_str());
   std::ifstream in(out_file);
   std::stringstream buffer;
@@ -49,7 +52,36 @@ CommandResult run(const std::string& args) {
   return {WEXITSTATUS(status), buffer.str()};
 }
 
+CommandResult run(const std::string& args) { return run_binary(kCli, args); }
+
 std::string temp_instance() { return test_temp_path("instance.txt"); }
+
+/// The value column of the report-table row labelled `label` ("" if the
+/// output has no such row).  A label is followed by at least two spaces of
+/// padding, so "requests" does not match "requests served from cache".
+std::string row_value(const std::string& output, const std::string& label) {
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(label + "  ", 0) != 0) continue;
+    const auto begin = line.find_first_not_of(' ', label.size());
+    const auto end = line.find_last_not_of(' ');
+    return begin == std::string::npos ? "" : line.substr(begin, end - begin + 1);
+  }
+  return "";
+}
+
+/// serve-engine's "ok / overloaded / deadline / degraded / error" counts.
+std::vector<std::uint64_t> outcome_counts(const std::string& output) {
+  std::istringstream row(
+      row_value(output, "ok / overloaded / deadline / degraded / error"));
+  std::vector<std::uint64_t> counts;
+  std::string token;
+  while (row >> token) {
+    if (token != "/") counts.push_back(std::stoull(token));
+  }
+  return counts;
+}
 
 TEST(Cli, GenerateSolveServeEvalPipeline) {
   const std::string path = temp_instance();
@@ -61,9 +93,21 @@ TEST(Cli, GenerateSolveServeEvalPipeline) {
   ASSERT_EQ(solve.exit_code, 0) << solve.output;
   EXPECT_NE(solve.output.find("1/2-approximation"), std::string::npos);
 
-  const auto serve = run("serve --in " + path + " --eps 0.15 --items 0,1,2");
+  const auto serve = run("serve-engine --in " + path + " --eps 0.15 --items 0,1,2");
   ASSERT_EQ(serve.exit_code, 0) << serve.output;
-  EXPECT_NE(serve.output.find("answered 3 queries"), std::string::npos);
+  // One "item i: yes|no" line per listed item, in order, before the report.
+  std::size_t previous = 0;
+  for (const std::string item : {"0", "1", "2"}) {
+    const auto yes = serve.output.find("item " + item + ": yes\n");
+    const auto no = serve.output.find("item " + item + ": no\n");
+    ASSERT_NE(yes == std::string::npos, no == std::string::npos) << serve.output;
+    EXPECT_GE(std::min(yes, no), previous) << serve.output;
+    previous = std::min(yes, no);
+  }
+  EXPECT_LT(previous, serve.output.find("== serve-engine")) << serve.output;
+  EXPECT_EQ(row_value(serve.output, "requests"), "3") << serve.output;
+  EXPECT_EQ(outcome_counts(serve.output), (std::vector<std::uint64_t>{3, 0, 0, 0, 0}))
+      << serve.output;
 
   const auto eval = run("eval --in " + path + " --replicas 3 --queries 50 --eps 0.15");
   ASSERT_EQ(eval.exit_code, 0) << eval.output;
@@ -86,7 +130,10 @@ TEST(Cli, UsageErrorsExitOne) {
   EXPECT_EQ(run("generate --family bogus --n 10").exit_code, 1);    // unknown family
   const std::string path = temp_instance();
   ASSERT_EQ(run("generate --family needle --n 100 --out " + path).exit_code, 0);
-  EXPECT_EQ(run("serve --in " + path).exit_code, 1);                // missing --items
+  const auto no_listen = run("serve --in " + path);                 // missing --listen
+  EXPECT_EQ(no_listen.exit_code, 1);
+  EXPECT_NE(no_listen.output.find("serve needs --listen"), std::string::npos)
+      << no_listen.output;
   EXPECT_EQ(run("solve --in " + path + " --method warp").exit_code, 1);
 }
 
@@ -97,9 +144,14 @@ TEST(Cli, RuntimeErrorsExitTwo) {
 TEST(Cli, ServeAllSummarizes) {
   const std::string path = temp_instance();
   ASSERT_EQ(run("generate --family needle --n 800 --out " + path).exit_code, 0);
-  const auto serve = run("serve --in " + path + " --eps 0.2 --all");
+  const auto serve = run("serve-engine --in " + path + " --eps 0.2 --all");
   ASSERT_EQ(serve.exit_code, 0) << serve.output;
-  EXPECT_NE(serve.output.find("answered 800 queries"), std::string::npos);
+  // --all summarizes: no per-item lines, every item answered once.
+  EXPECT_EQ(serve.output.find("item 0: "), std::string::npos) << serve.output;
+  EXPECT_EQ(row_value(serve.output, "requests"), "800") << serve.output;
+  EXPECT_EQ(outcome_counts(serve.output),
+            (std::vector<std::uint64_t>{800, 0, 0, 0, 0}))
+      << serve.output;
 }
 
 TEST(Cli, HelpListsEveryCommandAndFlag) {
@@ -114,9 +166,10 @@ TEST(Cli, HelpListsEveryCommandAndFlag) {
       "snapshot <save|load|verify>", "verify-log",
       // generate / solve / serve / eval
       "--family", "--n", "--seed", "--out", "--in", "--method", "--eps",
-      "--items", "--all", "--flaky", "--retries", "--replicas", "--queries",
+      "--items", "--all", "--replicas", "--queries",
       // serve-engine workload + engine
-      "--shape", "--zipf-s", "--hot-frac", "--hot-items", "--workers",
+      "--shape", "--zipf-s", "--hot-frac", "--hot-items", "--workload-seed",
+      "--workers",
       "--queue-cap", "--batch-max", "--linger-us", "--cache-cap",
       "--cache-shards", "--paranoia-every", "--deadline-us",
       // resilience stack
@@ -126,7 +179,7 @@ TEST(Cli, HelpListsEveryCommandAndFlag) {
       "--warmup-threads", "--tape", "--snap", "--snapshot-dir",
       "--instance-id",
       // certification
-      "--certify", "--cert-dir", "--log", "--sample",
+      "--certify", "--cert-dir", "--cert-segment-records", "--log", "--sample",
       // network front-end
       "--listen", "--tenants", "--max-conns", "--conn-inflight",
       "--tenant-inflight", "--store-capacity", "--chaos-tenant",
@@ -140,6 +193,61 @@ TEST(Cli, HelpListsEveryCommandAndFlag) {
     EXPECT_NE(help.output.find(needle), std::string::npos)
         << "usage text is missing: " << needle;
   }
+  // The one-shot serve path and its fault flags are gone.
+  for (const char* const removed : {"--flaky", "--retries"}) {
+    EXPECT_EQ(help.output.find(removed), std::string::npos)
+        << "usage text still lists: " << removed;
+  }
+}
+
+TEST(Cli, UnknownFlagsAndMalformedNumbersExitOne) {
+  // Each command accepts only its own flags, and a number must parse as a
+  // whole token: none of these may run on a silently substituted default.
+  const std::string path = temp_instance();
+  ASSERT_EQ(run("generate --family needle --n 200 --out " + path).exit_code, 0);
+  const std::string engine = "serve-engine --in " + path + " --eps 0.2 --queries 100";
+  for (const std::string& flags :
+       {std::string(" --lingr-us 0"), std::string(" --flaky 0.1"),
+        std::string(" --tape 7abc"), std::string(" --workers -1"),
+        std::string(" --zipf-s 1.1x"), std::string(" --all=yes")}) {
+    const auto result = run(engine + flags);
+    EXPECT_EQ(result.exit_code, 1) << flags << "\n" << result.output;
+    EXPECT_NE(result.output.find("usage error"), std::string::npos) << result.output;
+  }
+  // --items / --all replace the generated trace; its shape flags conflict.
+  EXPECT_EQ(run("serve-engine --in " + path + " --items 0,1 --queries 10").exit_code, 1);
+  EXPECT_EQ(run("serve-engine --in " + path + " --all --shape zipf").exit_code, 1);
+  EXPECT_EQ(run("serve-engine --in " + path + " --items 0,1x").exit_code, 1);
+  EXPECT_EQ(run("solve --in " + path + " --methd greedy").exit_code, 1);
+}
+
+TEST(Cli, HexSeedIsTheSameSeedAsItsDecimal) {
+  // Lemma 4.9 needs replicas to share the seed as written: 0x5EED and
+  // 24301 must name the same warm state (the fleet tool passes decimal).
+  const std::string path = temp_instance();
+  ASSERT_EQ(run("generate --family uncorrelated --n 2000 --seed 4 --out " +
+                path).exit_code, 0);
+  const auto digest_for = [&path](const std::string& seed) {
+    const auto save = run("snapshot save --in " + path + " --eps 0.2 --seed " +
+                          seed + " --snap " + test_temp_path(seed + ".snap"));
+    EXPECT_EQ(save.exit_code, 0) << save.output;
+    return row_value(save.output, "digest");
+  };
+  const auto hex = digest_for("0x5EED");
+  ASSERT_FALSE(hex.empty());
+  EXPECT_EQ(hex, digest_for("24301"));
+  EXPECT_NE(hex, digest_for("0"));
+}
+
+TEST(Cli, VerifyLogToolRejectsUnknownFlags) {
+  // The standalone auditor shares the parser: a misspelled flag is a usage
+  // error before any file is opened.
+  const auto typo = run_binary(kVerifyLog, "--log /nonexistent --snap /nonexistent"
+                                           " --sampel 3");
+  EXPECT_EQ(typo.exit_code, 1) << typo.output;
+  EXPECT_NE(typo.output.find("--sampel"), std::string::npos) << typo.output;
+  EXPECT_EQ(run_binary(kVerifyLog, "--log /nonexistent --snap /nonexistent"
+                                   " --sample 3x").exit_code, 1);
 }
 
 TEST(Cli, SnapshotSaveLoadVerifyRoundTrip) {
@@ -462,6 +570,34 @@ TEST(Cli, ServeEngineReplaysAnEpochLog) {
   const auto bad = run("serve-engine --in " + path + " --updates " + log);
   EXPECT_EQ(bad.exit_code, 1) << bad.output;
   EXPECT_NE(bad.output.find("epoch log:"), std::string::npos) << bad.output;
+  std::remove(log.c_str());
+}
+
+TEST(Cli, ServeEngineUpdatesHonoursEngineFlags) {
+  // An epoched replay runs through the same engine configuration as a
+  // static one: a 1 us deadline sheds requests as deadline, and flags that
+  // cannot apply to an epoched instance are usage errors, never ignored.
+  const std::string path = temp_instance();
+  const std::string log = test_temp_path("updates.log");
+  ASSERT_EQ(run("generate --family uncorrelated --n 2000 --seed 8 --out " +
+                path).exit_code, 0);
+  {
+    std::ofstream out(log);
+    out << "epoch 1\nweight 3 5\nseal auto\n";
+  }
+  const std::string replay = "serve-engine --in " + path +
+                             " --eps 0.25 --queries 2000 --workers 2 --updates " + log;
+  const auto shed = run(replay + " --deadline-us 1");
+  ASSERT_EQ(shed.exit_code, 0) << shed.output;
+  const auto counts = outcome_counts(shed.output);
+  ASSERT_EQ(counts.size(), 5u) << shed.output;
+  EXPECT_GT(counts[2], 0u) << shed.output;  // deadline
+  EXPECT_EQ(counts[0] + counts[2], 2000u) << shed.output;
+  EXPECT_NE(shed.output.find("epochs applied"), std::string::npos) << shed.output;
+
+  const auto breaker = run(replay + " --breaker");
+  EXPECT_EQ(breaker.exit_code, 1) << breaker.output;
+  EXPECT_NE(breaker.output.find("--breaker"), std::string::npos) << breaker.output;
   std::remove(log.c_str());
 }
 

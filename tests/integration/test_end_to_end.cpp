@@ -7,11 +7,13 @@
 #include "core/full_read_lca.h"
 #include "core/lca_kp.h"
 #include "core/mapping_greedy.h"
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "iky/value_approx.h"
 #include "knapsack/generators.h"
 #include "knapsack/solvers/solve.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 #include "util/thread_pool.h"
 
 namespace lcaknap {
@@ -123,8 +125,8 @@ TEST(EndToEnd, FlakyDistributedOracleWithRetries) {
   // client retries, consistent serving on top.
   const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 5'000, 78);
   const oracle::MaterializedAccess inner(inst);
-  const oracle::FlakyAccess flaky(inner, 0.15, 79);
-  const oracle::RetryingAccess retrying(flaky, 64);
+  const fault::ChaosAccess flaky(inner, fault::parse_fault_plan("flaky:0:fail=0.15", 79));
+  const oracle::RetryingAccess retrying(flaky, oracle::RetryConfig{.max_attempts = 64});
 
   const core::LcaKp lca(retrying, serving_config());
   util::Xoshiro256 a(80), b(81);

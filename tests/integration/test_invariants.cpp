@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/lca_kp.h"
 #include "core/mapping_greedy.h"
 #include "knapsack/generators.h"
@@ -22,37 +20,6 @@ core::LcaKpConfig small_config(double eps = 0.1) {
   config.seed = 0x1417;
   config.quantile_samples = 30'000;
   return config;
-}
-
-TEST(Invariants, RunSerializationRoundTripsTheDecisionRule) {
-  const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 5'000, 51);
-  const oracle::MaterializedAccess access(inst);
-  const core::LcaKp lca(access, small_config());
-  util::Xoshiro256 tape(52);
-  const auto run = lca.run_pipeline(tape);
-
-  std::stringstream ss;
-  core::save_run(run, ss);
-  const auto loaded = core::load_run(ss);
-
-  EXPECT_EQ(loaded.index_large, run.index_large);
-  EXPECT_EQ(loaded.e_small_grid, run.e_small_grid);
-  EXPECT_EQ(loaded.singleton, run.singleton);
-  EXPECT_EQ(loaded.thresholds_grid, run.thresholds_grid);
-  for (std::size_t i = 0; i < inst.size(); ++i) {
-    ASSERT_EQ(lca.decide(loaded, i, inst.norm_profit(i), inst.efficiency(i)),
-              lca.decide(run, i, inst.norm_profit(i), inst.efficiency(i)))
-        << "item " << i;
-  }
-}
-
-TEST(Invariants, LoadRunRejectsGarbage) {
-  std::stringstream bad("not-a-run 1\n");
-  EXPECT_THROW(core::load_run(bad), std::runtime_error);
-  std::stringstream truncated("lcakp-run 1\n5 1 2\n");
-  EXPECT_THROW(core::load_run(truncated), std::runtime_error);
-  std::stringstream wrong_version("lcakp-run 2\n0\n-1 0 0\n0\n");
-  EXPECT_THROW(core::load_run(wrong_version), std::runtime_error);
 }
 
 TEST(Invariants, PipelineSampleAccountingIsExact) {

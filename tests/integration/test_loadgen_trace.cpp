@@ -156,6 +156,17 @@ TEST_F(LoadgenTraceTest, ReplayUsageErrors) {
   std::remove(empty_path.c_str());
 }
 
+TEST_F(LoadgenTraceTest, UnknownFlagsAndMalformedNumbersExitOne) {
+  // A misspelled flag or a number with trailing junk is a usage error
+  // before any frame is sent, never a run on a silently substituted default.
+  const auto typo = run_loadgen(port_arg() + " --queries 10 --windw 4 --json");
+  EXPECT_EQ(typo.exit_code, 1) << typo.output;
+  EXPECT_NE(typo.output.find("--windw"), std::string::npos) << typo.output;
+  const auto junk = run_loadgen(port_arg() + " --queries 10x --json");
+  EXPECT_EQ(junk.exit_code, 1) << junk.output;
+  EXPECT_EQ(server_->stats().frames_in, 0u);
+}
+
 TEST_F(LoadgenTraceTest, DiurnalShapeModulatesTheOpenLoopAndConserves) {
   // The diurnal shape is an offered-rate modulation, so it only exists in
   // open-loop mode; accounting must conserve exactly as with --shape flat.

@@ -6,8 +6,11 @@
 #include <thread>
 #include <vector>
 
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "knapsack/generators.h"
-#include "oracle/flaky.h"
+#include "oracle/latency_model.h"
+#include "oracle/retrying.h"
 #include "oracle/sharded.h"
 
 namespace lcaknap::oracle {
@@ -98,6 +101,22 @@ TEST(InstrumentedAccess, WithoutModelRegistersNoLatencyHistogram) {
   }
 }
 
+TEST(LatencyAccess, AccruesSimulatedTime) {
+  const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 20, 7);
+  const MaterializedAccess inner(inst);
+  LatencyModel model;
+  model.fixed_us = 100.0;
+  model.exp_mean_us = 10.0;
+  const LatencyAccess timed(inner, model, 13);
+  util::Xoshiro256 rng(6);
+  constexpr int kCalls = 1'000;
+  for (int i = 0; i < kCalls; ++i) (void)timed.weighted_sample(rng);
+  const double us = timed.simulated_us();
+  // Mean per call is fixed + exp_mean = 110us.
+  EXPECT_NEAR(us / kCalls, 110.0, 5.0);
+  EXPECT_EQ(timed.sample_count(), static_cast<std::uint64_t>(kCalls));
+}
+
 TEST(InstrumentedAccess, ConcurrentTrafficKeepsBothPathsEqual) {
   const auto inst = small_instance();
   metrics::Registry registry;
@@ -119,14 +138,20 @@ TEST(FlakyAndRetrying, FailureAndRetryCountersMirrorLegacyAccessors) {
   metrics::Registry registry;
   const MaterializedAccess storage(inst);
   const InstrumentedAccess instrumented(storage, registry);
-  const FlakyAccess flaky(instrumented, /*failure_rate=*/0.3, /*seed=*/11, registry);
-  const RetryingAccess client(flaky, /*max_attempts=*/64, registry);
+  const fault::ChaosAccess flaky(instrumented,
+                                 fault::parse_fault_plan("flaky:0:fail=0.3", 11),
+                                 util::system_clock(), /*armed=*/true, registry);
+  const RetryingAccess client(flaky, RetryConfig{.max_attempts = 64},
+                              util::system_clock(), registry);
 
   recorded_call_sequence(client, 21);
 
-  EXPECT_GT(flaky.failures_injected(), 0u);
-  EXPECT_EQ(registry.counter_value("oracle_failures_total"), flaky.failures_injected());
+  EXPECT_GT(flaky.failstops_injected(), 0u);
+  EXPECT_EQ(registry.counter_value("fault_injected_total", {{"kind", "failstop"}}),
+            flaky.failstops_injected());
   EXPECT_EQ(registry.counter_value("oracle_retries_total"), client.retries_performed());
+  // Every injected failure was absorbed by exactly one retry.
+  EXPECT_EQ(flaky.failstops_injected(), client.retries_performed());
   // Failures fire before storage is touched: the canonical query/sample
   // counters only see successful attempts.
   EXPECT_EQ(registry.counter_value("oracle_queries_total"), storage.query_count());
@@ -137,7 +162,8 @@ TEST(FlakyAndRetrying, ReliableStackRegistersZeroedFamilies) {
   const auto inst = small_instance();
   metrics::Registry registry;
   const MaterializedAccess storage(inst);
-  const RetryingAccess client(storage, 4, registry);
+  const RetryingAccess client(storage, RetryConfig{.max_attempts = 4},
+                              util::system_clock(), registry);
   (void)client.query(0);
   // The family exists (an operator's dashboard can always plot it) at zero.
   const auto snap = registry.snapshot();

@@ -1,10 +1,11 @@
-// Multi-threaded hammer for the failure-injection decorators.  The serving
-// engine shares one oracle stack across all workers, so FlakyAccess /
-// RetryingAccess must tolerate concurrent callers: the failure-decision RNG
-// is mutex-guarded, counters are atomic, and every caller passes its own
-// sampling tape (the documented single-owner object).  These tests assert
-// the conservation laws that survive arbitrary interleavings; run them
-// under TSan (the CI tsan job does) to catch the races assertions cannot.
+// Multi-threaded hammer for the failure-injection stack.  The serving
+// engine shares one oracle stack across all workers, so ChaosAccess /
+// RetryingAccess must tolerate concurrent callers: the chaos layer decides
+// each fault lock-free as a pure function of an atomic call index, counters
+// are atomic, and every caller passes its own sampling tape (the documented
+// single-owner object).  These tests assert the conservation laws that
+// survive arbitrary interleavings; run them under TSan (the CI tsan job
+// does) to catch the races assertions cannot.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +13,12 @@
 #include <thread>
 #include <vector>
 
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
+#include "oracle/retrying.h"
 
 namespace lcaknap::oracle {
 namespace {
@@ -29,8 +32,11 @@ TEST(ConcurrentAccess, FlakyRetryingStackConservesCounts) {
   const MaterializedAccess storage(inst);
   // failure_rate 0.1 with 16 attempts: the chance any call exhausts retries
   // is 1e-16 per call — effectively zero across the hammer.
-  const FlakyAccess flaky(storage, 0.1, 0xF00D, registry);
-  const RetryingAccess access(flaky, 16, registry);
+  const fault::ChaosAccess flaky(storage,
+                                 fault::parse_fault_plan("flaky:0:fail=0.1", 0xF00D),
+                                 util::system_clock(), /*armed=*/true, registry);
+  const RetryingAccess access(flaky, RetryConfig{.max_attempts = 16},
+                              util::system_clock(), registry);
 
   std::atomic<std::uint64_t> ok_queries{0};
   std::atomic<std::uint64_t> ok_samples{0};
@@ -60,13 +66,14 @@ TEST(ConcurrentAccess, FlakyRetryingStackConservesCounts) {
   // Conservation through the stack: storage saw exactly the successful
   // calls; every injected failure was absorbed by exactly one retry.
   EXPECT_EQ(storage.access_count(), total);
-  EXPECT_EQ(flaky.failures_injected(), access.retries_performed());
-  EXPECT_GT(flaky.failures_injected(), 0u);  // the injector actually fired
-  // Flaky's own counters saw successes + failures.
-  EXPECT_EQ(flaky.access_count(), total + flaky.failures_injected());
-  // Registry mirrors the legacy accessors exactly.
-  EXPECT_EQ(registry.counter_value("oracle_failures_total"),
-            flaky.failures_injected());
+  EXPECT_EQ(flaky.failstops_injected(), access.retries_performed());
+  EXPECT_GT(flaky.failstops_injected(), 0u);  // the injector actually fired
+  // The chaos layer's own counters saw successes + failures.
+  EXPECT_EQ(flaky.access_count(), total + flaky.failstops_injected());
+  EXPECT_EQ(flaky.calls_seen(), total + flaky.failstops_injected());
+  // Registry mirrors the local accessors exactly.
+  EXPECT_EQ(registry.counter_value("fault_injected_total", {{"kind", "failstop"}}),
+            flaky.failstops_injected());
   EXPECT_EQ(registry.counter_value("oracle_retries_total"),
             access.retries_performed());
 }
@@ -75,7 +82,9 @@ TEST(ConcurrentAccess, FailureRateSurvivesContention) {
   const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 200, 5);
   metrics::Registry registry;
   const MaterializedAccess storage(inst);
-  const FlakyAccess flaky(storage, 0.2, 0xBEEF, registry);
+  const fault::ChaosAccess flaky(storage,
+                                 fault::parse_fault_plan("flaky:0:fail=0.2", 0xBEEF),
+                                 util::system_clock(), /*armed=*/true, registry);
 
   std::atomic<std::uint64_t> failures_seen{0};
   std::vector<std::thread> threads;
@@ -94,9 +103,10 @@ TEST(ConcurrentAccess, FailureRateSurvivesContention) {
 
   // Exactly-once failure delivery: the decorator's count equals the number
   // of exceptions observed across all threads (nothing lost or doubled).
-  EXPECT_EQ(flaky.failures_injected(), failures_seen.load());
-  // The mutex-guarded RNG still injects at the configured rate: 40k draws
-  // at p = 0.2 concentrate tightly around 8000 (+-5 sigma ~ +-400).
+  EXPECT_EQ(flaky.failstops_injected(), failures_seen.load());
+  // Contention does not bend the rate: each call's decision is a pure
+  // function of its own call index, so 40k draws at p = 0.2 concentrate
+  // tightly around 8000 (+-5 sigma ~ +-400).
   const double total = static_cast<double>(kThreads) * kCallsPerThread;
   const double rate = static_cast<double>(failures_seen.load()) / total;
   EXPECT_NEAR(rate, 0.2, 0.01);

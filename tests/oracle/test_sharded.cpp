@@ -1,10 +1,11 @@
 #include "oracle/sharded.h"
 
-#include "oracle/flaky.h"
-
 #include <gtest/gtest.h>
 
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "knapsack/generators.h"
+#include "oracle/retrying.h"
 #include "util/stats.h"
 
 namespace lcaknap::oracle {
@@ -73,8 +74,8 @@ TEST(ShardedAccess, ComposesWithFailureInjection) {
   // distributed stack end to end.
   const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 500, 8);
   const ShardedAccess cluster(inst, 4);
-  const FlakyAccess flaky(cluster, 0.3, 9);
-  const RetryingAccess client(flaky, 32);
+  const fault::ChaosAccess flaky(cluster, fault::parse_fault_plan("flaky:0:fail=0.3", 9));
+  const RetryingAccess client(flaky, RetryConfig{.max_attempts = 32});
   util::Xoshiro256 rng(10);
   for (int i = 0; i < 2'000; ++i) {
     const auto draw = client.weighted_sample(rng);

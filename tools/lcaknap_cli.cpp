@@ -5,12 +5,8 @@
 //       Write an instance of a built-in family to FILE (or stdout).
 //   solve    --in FILE [--method exact|greedy|fptas] [--eps E]
 //       Solve an instance offline and print the solution summary.
-//   serve    --in FILE [--eps E] [--seed S] (--items "i,j,k" | --all)
-//            [--flaky RATE] [--retries N] [--warmup-threads K]
-//       Run LCA-KP and answer membership queries over the instrumented
-//       oracle stack (storage -> metrics -> optional failure injection ->
-//       retries).  --warmup-threads parallelizes the one-time warm-up
-//       without changing any answer (deterministic sharded sampling).
+//   serve    --listen PORT (--in FILE | --tenants a=fileA,b=fileB) [...]
+//       Serve membership queries over TCP (docs/NETWORKING.md).
 //   eval     --in FILE [--eps E] [--seed S] [--replicas K] [--queries Q]
 //       Run the consistency/quality harness and print the report.
 //   snapshot <save|load|verify> --in FILE --snap PATH [--eps E] [--seed S]
@@ -21,18 +17,23 @@
 //       the instance and flags); `verify` additionally re-runs the live
 //       warm-up and proves digest equality (exit 2 on any mismatch).
 //   serve-engine --in FILE [--eps E] [--seed S] [--tape T]
-//            [--shape uniform|zipf|hotspot]
-//            [--queries Q] [--zipf-s S] [--hot-frac F] [--hot-items K]
+//            [--items "i,j,k" | --all | --shape uniform|zipf|hotspot
+//             [--queries Q] [--zipf-s S] [--hot-frac F] [--hot-items K]
+//             [--workload-seed S]]
 //            [--workers W] [--queue-cap N] [--batch-max B] [--linger-us L]
 //            [--cache-cap N] [--cache-shards S] [--paranoia-every N]
 //            [--deadline-us D] [--chaos-plan SPEC] [--chaos-seed S]
 //            [--retry-attempts N] [--backoff-us B] [--backoff-max-us M]
 //            [--retry-budget R] [--breaker] [--degrade] [--warmup-threads K]
 //            [--snapshot-dir DIR] [--instance-id ID]
-//            [--certify --cert-dir DIR]
-//       Replay a synthetic workload through the concurrent serving engine
-//       (bounded queue -> micro-batcher -> worker pool -> sharded answer
-//       cache) and print the throughput/outcome/cache report.  With
+//            [--certify --cert-dir DIR [--cert-segment-records N]]
+//            [--updates FILE [--verify-epochs]]
+//       Replay queries through the concurrent serving engine (bounded
+//       queue -> micro-batcher -> worker pool -> sharded answer cache) and
+//       print the throughput/outcome/cache report.  The trace is the listed
+//       items (one "item i: yes|no" line each, in order), every item
+//       (--all), or a generated workload.  --warmup-threads parallelizes the
+//       one-time warm-up without changing any answer.  With
 //       --chaos-plan, the oracle runs through the scripted fault layer
 //       (chaos -> verifying -> retrying, armed after warm-up); --breaker
 //       adds the circuit breaker, --degrade turns oracle outages into
@@ -44,7 +45,9 @@
 //       persisted for the next process (docs/PERSISTENCE.md).  With
 //       --certify, every evaluated answer appends a CRC-sealed certificate
 //       record to an atomically-rotated log under --cert-dir
-//       (docs/CERTIFICATES.md).
+//       (docs/CERTIFICATES.md).  With --updates, the instance is epoched
+//       (docs/DYNAMIC.md): the trace splits into one segment per epoch-log
+//       batch plus one, and each batch applies between two segments.
 //   verify-log --log <FILE|DIR> --snap PATH [--sample K]
 //       Offline certificate audit: replay a certificate log against the
 //       warm-state snapshot it names and re-derive every answer with ZERO
@@ -55,6 +58,9 @@
 // Global flag: --metrics=prom|json dumps the metrics registry (Prometheus
 // text exposition or JSON lines) to stdout when the command finishes — see
 // docs/OBSERVABILITY.md for the family catalogue.
+//
+// Each command accepts only its own flags (tools/args.h): an unknown flag
+// or a malformed number is a usage error.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
 
@@ -67,6 +73,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -80,7 +87,7 @@
 #include "dyn/update.h"
 #include "core/lca_kp.h"
 #include "core/mapping_greedy.h"
-#include "core/serving_sim.h"
+#include "core/workload.h"
 #include "fault/chaos.h"
 #include "fault/circuit_breaker.h"
 #include "fault/plan.h"
@@ -94,67 +101,21 @@
 #include "net/server.h"
 #include "net/session.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
 #include "oracle/instrumented.h"
+#include "oracle/retrying.h"
 #include "serve/engine.h"
 #include "store/snapshot.h"
 #include "store/state_store.h"
 #include "util/table.h"
 #include "util/virtual_clock.h"
 
+#include "args.h"
+
 namespace {
 
 using namespace lcaknap;
-
-/// Minimal --flag value parser; flags are unique and take one value, given
-/// either as `--flag value` or `--flag=value`, except the booleans (`--all`,
-/// `--breaker`, `--degrade`, `--certify`), which take none.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw std::invalid_argument("expected --flag, got: " + key);
-      }
-      key = key.substr(2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (key == "all" || key == "breaker" || key == "degrade" ||
-          key == "certify" || key == "allow-shutdown" ||
-          key == "verify-epochs") {
-        values_[key] = "true";
-        continue;
-      }
-      if (i + 1 >= argc) throw std::invalid_argument("--" + key + " needs a value");
-      values_[key] = argv[++i];
-    }
-  }
-
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? std::nullopt : std::make_optional(it->second);
-  }
-  [[nodiscard]] std::string require(const std::string& key) const {
-    const auto v = get(key);
-    if (!v) throw std::invalid_argument("missing required --" + key);
-    return *v;
-  }
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const {
-    const auto v = get(key);
-    return v ? std::stod(*v) : fallback;
-  }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
-    const auto v = get(key);
-    return v ? std::stoull(*v) : fallback;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
+using tools::FlagSpec;
 
 knapsack::Family parse_family(const std::string& name) {
   for (const auto family : knapsack::all_families()) {
@@ -218,12 +179,13 @@ int cmd_solve(const Args& args) {
   return 0;
 }
 
+/// Splits `csv` ("i,j,k") into item indices below `n`.
 std::vector<std::size_t> parse_items(const std::string& csv, std::size_t n) {
   std::vector<std::size_t> items;
   std::stringstream ss(csv);
   std::string token;
   while (std::getline(ss, token, ',')) {
-    const auto idx = std::stoull(token);
+    const auto idx = tools::parse_u64("items", token);
     if (idx >= n) throw std::invalid_argument("item index out of range: " + token);
     items.push_back(static_cast<std::size_t>(idx));
   }
@@ -231,12 +193,61 @@ std::vector<std::size_t> parse_items(const std::string& csv, std::size_t n) {
   return items;
 }
 
+/// `--eps` and the shared `--seed` (Lemma 4.9: replicas that share it
+/// serve the same answers).
+core::LcaKpConfig lca_config_from_flags(const Args& args) {
+  core::LcaKpConfig config;
+  config.eps = args.get_double("eps", 0.1);
+  config.seed = args.get_u64("seed", 0xC0DE);
+  return config;
+}
+
+/// The serving engine's configuration from the flags `serve --listen` and
+/// `serve-engine` share.  `replay` adds serve-engine's own: the cache
+/// paranoia audit (every 64th hit by default; the listener runs without
+/// it) and certification.
+serve::EngineConfig engine_config_from_flags(const Args& args, bool replay) {
+  serve::EngineConfig config;
+  config.workers = static_cast<std::size_t>(args.get_u64("workers", 4));
+  config.queue_capacity =
+      static_cast<std::size_t>(args.get_u64("queue-cap", 8'192));
+  config.batcher.max_batch_size =
+      static_cast<std::size_t>(args.get_u64("batch-max", 64));
+  config.batcher.max_linger =
+      std::chrono::microseconds(args.get_u64("linger-us", 200));
+  config.cache.capacity =
+      static_cast<std::size_t>(args.get_u64("cache-cap", 1 << 16));
+  config.cache.shards = static_cast<std::size_t>(args.get_u64("cache-shards", 8));
+  config.default_deadline =
+      std::chrono::microseconds(args.get_u64("deadline-us", 0));
+  config.warmup_tape_seed = args.get_u64("tape", 7);
+  config.warmup_threads =
+      static_cast<std::size_t>(args.get_u64("warmup-threads", 1));
+  config.degrade = args.has("degrade");
+  if (!replay) return config;
+  config.cache.paranoia_every = args.get_u64("paranoia-every", 64);
+  config.certify = args.has("certify");
+  if (config.certify) {
+    config.cert_dir = args.require("cert-dir");
+    std::filesystem::create_directories(config.cert_dir);
+    config.cert_segment_records = args.get_u64("cert-segment-records", 0);
+  } else if (args.has("cert-dir")) {
+    throw std::invalid_argument("--cert-dir requires --certify");
+  }
+  return config;
+}
+
 /// `serve --listen PORT`: the network front door (docs/NETWORKING.md).
 /// Hosts one or more tenants behind the length-prefixed binary protocol:
 /// register -> warm (StateStore-hydrated, snapshot-first) -> arm optional
 /// per-tenant chaos -> accept.  Runs until a gated shutdown frame arrives
 /// (--allow-shutdown) or the process is signalled.
-int cmd_serve_listen(const Args& args) {
+int cmd_serve(const Args& args) {
+  if (!args.has("listen")) {
+    throw std::invalid_argument(
+        "serve needs --listen PORT; to answer queries in process, use "
+        "serve-engine --in FILE (--items i,j,k | --all)");
+  }
   auto& registry = metrics::global_registry();
 
   // Tenants: "--tenants a=fileA,b=fileB", or the single default tenant
@@ -259,28 +270,9 @@ int cmd_serve_listen(const Args& args) {
                        args.require("in"));
   }
 
-  core::LcaKpConfig lca_config;
-  lca_config.eps = args.get_double("eps", 0.1);
-  lca_config.seed = args.get_u64("seed", 0xC0DE);
-
-  serve::EngineConfig engine_config;
-  engine_config.workers = static_cast<std::size_t>(args.get_u64("workers", 4));
-  engine_config.queue_capacity =
-      static_cast<std::size_t>(args.get_u64("queue-cap", 8'192));
-  engine_config.batcher.max_batch_size =
-      static_cast<std::size_t>(args.get_u64("batch-max", 64));
-  engine_config.batcher.max_linger =
-      std::chrono::microseconds(args.get_u64("linger-us", 200));
-  engine_config.cache.capacity =
-      static_cast<std::size_t>(args.get_u64("cache-cap", 1 << 16));
-  engine_config.cache.shards =
-      static_cast<std::size_t>(args.get_u64("cache-shards", 8));
-  engine_config.default_deadline =
-      std::chrono::microseconds(args.get_u64("deadline-us", 0));
-  engine_config.warmup_threads =
-      static_cast<std::size_t>(args.get_u64("warmup-threads", 1));
-  engine_config.degrade = args.get("degrade").has_value();
-  const std::uint64_t tape_seed = args.get_u64("tape", 7);
+  const auto lca_config = lca_config_from_flags(args);
+  const auto engine_config = engine_config_from_flags(args, /*replay=*/false);
+  const std::uint64_t tape_seed = engine_config.warmup_tape_seed;
 
   // Per-tenant oracle stacks; own everything the router borrows.
   struct TenantStack {
@@ -401,13 +393,12 @@ int cmd_serve_listen(const Args& args) {
   }
 
   net::ServerConfig server_config;
-  server_config.port =
-      static_cast<std::uint16_t>(args.get_u64("listen", 0));
+  server_config.port = tools::parse_port("listen", args.require("listen"));
   server_config.max_connections =
       static_cast<std::size_t>(args.get_u64("max-conns", 256));
   server_config.max_inflight_per_connection =
       static_cast<std::size_t>(args.get_u64("conn-inflight", 128));
-  server_config.allow_shutdown = args.get("allow-shutdown").has_value();
+  server_config.allow_shutdown = args.has("allow-shutdown");
   // Echoed on every response frame; the fleet orchestrator gives each
   // replica a distinct id so the checker can attribute answers.
   server_config.replica_id = args.get_u64("replica-id", 0);
@@ -475,75 +466,9 @@ int cmd_serve_listen(const Args& args) {
   return 0;
 }
 
-int cmd_serve(const Args& args) {
-  if (args.get("listen")) return cmd_serve_listen(args);
-  const auto inst = load_instance(args.require("in"));
-  core::LcaKpConfig config;
-  config.eps = args.get_double("eps", 0.1);
-  config.seed = args.get_u64("seed", 0xC0DE);
-  config.warmup_threads =
-      static_cast<std::size_t>(args.get_u64("warmup-threads", 1));
-
-  // The serving oracle stack, innermost first: storage -> instrumentation
-  // (the registry's canonical counters) -> optional injected failures ->
-  // client-side retries.  The decorators are access-transparent, so answers
-  // are identical to serving straight off storage.
-  auto& registry = metrics::global_registry();
-  const oracle::MaterializedAccess storage(inst);
-  const oracle::InstrumentedAccess instrumented(storage, registry);
-  const double flaky_rate = args.get_double("flaky", 0.0);
-  std::optional<oracle::FlakyAccess> flaky;
-  if (flaky_rate > 0.0) {
-    flaky.emplace(instrumented, flaky_rate, args.get_u64("flaky-seed", 0xF1A), registry);
-  }
-  const oracle::InstanceAccess& upstream = flaky ? static_cast<const oracle::InstanceAccess&>(*flaky)
-                                                 : instrumented;
-  const oracle::RetryingAccess access(
-      upstream, static_cast<int>(args.get_u64("retries", 16)), registry);
-  const core::LcaKp lca(access, config);
-
-  // Sharded deterministic warm-up: `--warmup-threads K` changes wall time,
-  // never the answers (the draws come from per-shard PRF substreams of the
-  // tape seed, not from a sequential tape).
-  const auto run = lca.run_warmup(args.get_u64("tape", 7));
-
-  std::vector<std::size_t> items;
-  if (args.get("all")) {
-    items.resize(inst.size());
-    for (std::size_t i = 0; i < items.size(); ++i) items[i] = i;
-  } else {
-    items = parse_items(args.require("items"), inst.size());
-  }
-  metrics::Counter& served_total = registry.counter(
-      "serving_queries_total", "Membership queries served by the replica fleet");
-  metrics::Histogram& latency_hist = registry.histogram(
-      "serving_query_latency_us",
-      "Per-query serving latency in microseconds",
-      core::serving_latency_buckets());
-  std::size_t yes = 0;
-  for (const auto i : items) {
-    bool in = false;
-    {
-      const metrics::ScopedTimer span(latency_hist);
-      in = lca.answer_from(run, i);
-    }
-    served_total.inc();
-    yes += in ? 1 : 0;
-    if (!args.get("all")) {
-      std::cout << "item " << i << ": " << (in ? "yes" : "no") << "\n";
-    }
-  }
-  std::cout << "answered " << items.size() << " queries (" << yes
-            << " yes) using " << run.samples_used
-            << " weighted samples for the run\n";
-  return 0;
-}
-
 int cmd_eval(const Args& args) {
   const auto inst = load_instance(args.require("in"));
-  core::LcaKpConfig config;
-  config.eps = args.get_double("eps", 0.1);
-  config.seed = args.get_u64("seed", 0xC0DE);
+  const auto config = lca_config_from_flags(args);
   core::ConsistencyConfig experiment;
   experiment.replicas = static_cast<std::size_t>(args.get_u64("replicas", 8));
   experiment.queries = static_cast<std::size_t>(args.get_u64("queries", 200));
@@ -577,9 +502,7 @@ int cmd_snapshot(const std::string& action, const Args& args) {
   }
   const auto inst = load_instance(args.require("in"));
   const std::string snap_path = args.require("snap");
-  core::LcaKpConfig config;
-  config.eps = args.get_double("eps", 0.1);
-  config.seed = args.get_u64("seed", 0xC0DE);
+  auto config = lca_config_from_flags(args);
   config.warmup_threads =
       static_cast<std::size_t>(args.get_u64("warmup-threads", 1));
   const std::uint64_t tape_seed = args.get_u64("tape", 7);
@@ -648,155 +571,26 @@ core::WorkloadConfig::Shape parse_shape(const std::string& name) {
                               " (try: uniform, zipf, hotspot)");
 }
 
-/// `serve-engine --updates FILE`: replay the workload through a *dynamic*
-/// instance (docs/DYNAMIC.md).  The epoch log's batches are applied at
-/// deterministic points — the trace is split into `batches + 1` contiguous
-/// segments, each segment fully completes before the next advance — so two
-/// runs of the same flags produce the same per-epoch accounting.  Every
-/// advance goes through `dyn::EpochedState` (delta warm-up where provably
-/// sound, full re-warm-up otherwise) and `ServeEngine::advance_epoch`
-/// (cache generation bump, new warm state).  Exit 2 if any response
-/// arrives attributed to an epoch that was never installed.
-int cmd_serve_engine_updates(const Args& args) {
-  for (const char* conflict : {"chaos-plan", "snapshot-dir", "certify"}) {
-    if (args.get(conflict)) {
-      throw std::invalid_argument(std::string("--updates does not combine "
-                                              "with --") +
-                                  conflict);
-    }
+/// serve-engine's trace: the listed items (--items), every item (--all), or
+/// a generated workload over `n` items.
+std::vector<std::size_t> replay_trace(const Args& args, std::size_t n) {
+  if (args.has("items") && args.has("all")) {
+    throw std::invalid_argument("--items and --all are alternatives");
   }
-  auto inst = load_instance(args.require("in"));
-  const auto log = dyn::load_epoch_log(args.require("updates"));
-  if (log.empty()) throw std::invalid_argument("epoch log has no batches");
-
-  dyn::EpochConfig dyn_config;
-  dyn_config.lca.eps = args.get_double("eps", 0.1);
-  dyn_config.lca.seed = args.get_u64("seed", 0xC0DE);
-  dyn_config.tape_seed = args.get_u64("tape", 7);
-  dyn_config.warmup_threads =
-      static_cast<std::size_t>(args.get_u64("warmup-threads", 1));
-  dyn_config.verify_digest = args.get("verify-epochs").has_value();
-  dyn::EpochedState state(std::move(inst), dyn_config,
-                          metrics::global_registry());
-  const auto epoch0 = state.current();
-
-  core::WorkloadConfig workload;
-  workload.shape = parse_shape(args.get("shape").value_or("hotspot"));
-  workload.queries = static_cast<std::size_t>(args.get_u64("queries", 100'000));
-  workload.zipf_s = args.get_double("zipf-s", 1.1);
-  workload.hotspot_fraction = args.get_double("hot-frac", 0.9);
-  workload.hotspot_items = static_cast<std::size_t>(args.get_u64("hot-items", 16));
-  workload.seed = args.get_u64("workload-seed", 1);
-  // Draw indices from the base size: deletes tombstone in place (indices
-  // stay valid) and inserts only append, so the trace is always in range.
-  const auto trace = core::generate_workload(epoch0->instance->size(), workload);
-
-  serve::EngineConfig engine_config;
-  engine_config.workers = static_cast<std::size_t>(args.get_u64("workers", 4));
-  engine_config.queue_capacity =
-      static_cast<std::size_t>(args.get_u64("queue-cap", 8'192));
-  engine_config.batcher.max_batch_size =
-      static_cast<std::size_t>(args.get_u64("batch-max", 64));
-  engine_config.batcher.max_linger =
-      std::chrono::microseconds(args.get_u64("linger-us", 200));
-  engine_config.cache.capacity =
-      static_cast<std::size_t>(args.get_u64("cache-cap", 1 << 16));
-  engine_config.cache.shards =
-      static_cast<std::size_t>(args.get_u64("cache-shards", 8));
-  engine_config.cache.paranoia_every = args.get_u64("paranoia-every", 64);
-  engine_config.warmup_tape_seed = dyn_config.tape_seed;
-  engine_config.warm_state = epoch0->run;  // already warmed (and traced)
-  serve::ServeEngine engine(*epoch0->lca, engine_config);
-
-  // Segment boundaries: batch k applies after segment k completes.
-  const std::size_t segments = log.size() + 1;
-  const std::size_t per_segment =
-      std::max<std::size_t>(1, trace.size() / segments);
-  std::map<std::uint64_t, std::uint64_t> served_by_epoch;
-  std::size_t delta_advances = 0;
-  std::size_t rewarm_advances = 0;
-  std::size_t applied = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t at = 0;
-  for (std::size_t seg = 0; seg < segments; ++seg) {
-    const std::size_t end =
-        seg + 1 == segments ? trace.size()
-                            : std::min(trace.size(), at + per_segment);
-    std::vector<std::future<serve::Response>> futures;
-    futures.reserve(end - at);
-    for (; at < end; ++at) futures.push_back(engine.submit(trace[at]));
-    for (auto& future : futures) {
-      const auto response = future.get();
-      if (response.outcome == serve::Outcome::kOk) {
-        ++served_by_epoch[response.epoch_id];
+  if (args.has("items") || args.has("all")) {
+    for (const char* generator : {"shape", "queries", "zipf-s", "hot-frac",
+                                  "hot-items", "workload-seed"}) {
+      if (args.has(generator)) {
+        throw std::invalid_argument(std::string("--") + generator +
+                                    " shapes a generated trace; it does not "
+                                    "combine with --items or --all");
       }
     }
-    if (seg + 1 < segments) {
-      const auto report = state.advance(log[seg]);
-      const auto epoch = state.current();
-      engine.advance_epoch(epoch->epoch_id, *epoch->lca, epoch->run, epoch);
-      (report.delta ? delta_advances : rewarm_advances) += 1;
-      ++applied;
-    }
+    if (args.has("items")) return parse_items(args.require("items"), n);
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    return all;
   }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  engine.drain();
-
-  const auto stats = engine.stats();
-  util::Table table({"metric", "value"});
-  table.row().cell("requests").cell(stats.submitted);
-  table.row().cell("ok / overloaded / deadline / degraded / error")
-      .cell(std::to_string(stats.ok) + " / " + std::to_string(stats.overloaded) +
-            " / " + std::to_string(stats.deadline_exceeded) + " / " +
-            std::to_string(stats.degraded) + " / " +
-            std::to_string(stats.errors));
-  table.row().cell("epochs applied (delta / rewarm)")
-      .cell(std::to_string(applied) + " (" + std::to_string(delta_advances) +
-            " / " + std::to_string(rewarm_advances) + ")");
-  {
-    std::string by_epoch;
-    for (const auto& [epoch_id, count] : served_by_epoch) {
-      if (!by_epoch.empty()) by_epoch += ", ";
-      by_epoch += "e" + std::to_string(epoch_id) + "=" + std::to_string(count);
-    }
-    table.row().cell("ok answers by served epoch").cell(
-        by_epoch.empty() ? "(none)" : by_epoch);
-  }
-  table.row().cell("cache invalidations").cell(stats.cache_invalidations);
-  table.row().cell("throughput (requests/s)").cell(
-      elapsed_s > 0 ? static_cast<double>(stats.submitted) / elapsed_s : 0.0,
-      0);
-  table.row().cell("final epoch").cell(stats.epoch);
-  table.row().cell("final warm-state digest").cell(
-      std::to_string(core::run_digest(*state.current()->run)));
-  table.print(std::cout, "serve-engine --updates (" +
-                             std::to_string(log.size()) + " batches)");
-  // Every served epoch must be one that was actually installed: 0..final.
-  for (const auto& [epoch_id, count] : served_by_epoch) {
-    if (epoch_id > stats.epoch) {
-      std::cerr << "EPOCH ATTRIBUTION VIOLATION: " << count
-                << " answers claim epoch " << epoch_id
-                << " > final epoch " << stats.epoch << "\n";
-      return 2;
-    }
-  }
-  if (stats.paranoia_violations > 0) {
-    std::cerr << "CONSISTENCY VIOLATION: cached answers disagreed with "
-                 "re-evaluation\n";
-    return 2;
-  }
-  return 0;
-}
-
-int cmd_serve_engine(const Args& args) {
-  if (args.get("updates")) return cmd_serve_engine_updates(args);
-  const auto inst = load_instance(args.require("in"));
-  core::LcaKpConfig lca_config;
-  lca_config.eps = args.get_double("eps", 0.1);
-  lca_config.seed = args.get_u64("seed", 0xC0DE);
-
   core::WorkloadConfig workload;
   workload.shape = parse_shape(args.get("shape").value_or("hotspot"));
   workload.queries = static_cast<std::size_t>(args.get_u64("queries", 100'000));
@@ -804,37 +598,41 @@ int cmd_serve_engine(const Args& args) {
   workload.hotspot_fraction = args.get_double("hot-frac", 0.9);
   workload.hotspot_items = static_cast<std::size_t>(args.get_u64("hot-items", 16));
   workload.seed = args.get_u64("workload-seed", 1);
+  return core::generate_workload(n, workload);
+}
 
-  serve::EngineConfig engine_config;
-  engine_config.workers = static_cast<std::size_t>(args.get_u64("workers", 4));
-  engine_config.queue_capacity =
-      static_cast<std::size_t>(args.get_u64("queue-cap", 8'192));
-  engine_config.batcher.max_batch_size =
-      static_cast<std::size_t>(args.get_u64("batch-max", 64));
-  engine_config.batcher.max_linger =
-      std::chrono::microseconds(args.get_u64("linger-us", 200));
-  engine_config.cache.capacity =
-      static_cast<std::size_t>(args.get_u64("cache-cap", 1 << 16));
-  engine_config.cache.shards =
-      static_cast<std::size_t>(args.get_u64("cache-shards", 8));
-  engine_config.cache.paranoia_every = args.get_u64("paranoia-every", 64);
-  engine_config.default_deadline =
-      std::chrono::microseconds(args.get_u64("deadline-us", 0));
-  engine_config.warmup_tape_seed = args.get_u64("tape", 7);
-  engine_config.warmup_threads =
-      static_cast<std::size_t>(args.get_u64("warmup-threads", 1));
-  engine_config.degrade = args.get("degrade").has_value();
-  engine_config.certify = args.get("certify").has_value();
-  if (engine_config.certify) {
-    engine_config.cert_dir = args.require("cert-dir");
-    std::filesystem::create_directories(engine_config.cert_dir);
-    engine_config.cert_segment_records = args.get_u64("cert-segment-records", 0);
-  } else if (args.get("cert-dir")) {
-    throw std::invalid_argument("--cert-dir requires --certify");
+/// `serve-engine`: replay a trace through the concurrent serving engine.
+/// With `--updates FILE` the instance is dynamic (docs/DYNAMIC.md): the
+/// epoch log's batches apply at deterministic points — the trace splits
+/// into `batches + 1` contiguous segments, each fully completing before the
+/// next advance — so two runs of the same flags produce the same per-epoch
+/// accounting.  Every advance goes through `dyn::EpochedState` (delta
+/// warm-up where provably sound, full re-warm-up otherwise) and
+/// `ServeEngine::advance_epoch`.  Exit 2 if any answer is attributed to an
+/// epoch that was never installed, or the cache paranoia audit disagrees.
+int cmd_serve_engine(const Args& args) {
+  const bool epoched = args.has("updates");
+  if (epoched) {
+    // An epoched instance has no single oracle stack to wrap, snapshot or
+    // certify against.
+    for (const char* conflict : {"chaos-plan", "breaker", "snapshot-dir", "certify"}) {
+      if (args.has(conflict)) {
+        throw std::invalid_argument(std::string("--updates does not combine "
+                                                "with --") +
+                                    conflict);
+      }
+    }
   }
+  auto& registry = metrics::global_registry();
+  const auto inst = load_instance(args.require("in"));
+  // Draw indices from the base size: deletes tombstone in place (indices
+  // stay valid) and inserts only append, so the trace is always in range.
+  const auto trace = replay_trace(args, inst.size());
+  const auto lca_config = lca_config_from_flags(args);
+  auto engine_config = engine_config_from_flags(args, /*replay=*/true);
 
   const oracle::MaterializedAccess storage(inst);
-  const oracle::InstrumentedAccess access(storage, metrics::global_registry());
+  const oracle::InstrumentedAccess access(storage, registry);
 
   // Optional resilience stack: chaos -> verifying -> retrying [-> breaker].
   // The chaos layer starts disarmed so the engine's one-time warm-up sees a
@@ -860,20 +658,36 @@ int cmd_serve_engine(const Args& args) {
     retrying.emplace(*verifying, retry_config, util::system_clock());
     top = &*retrying;
   }
-  if (args.get("breaker")) {
+  if (args.has("breaker")) {
     breaker.emplace(*top, fault::CircuitBreakerConfig{});
     top = &*breaker;
   }
-
   const core::LcaKp lca(*top, lca_config);
-  const auto trace = core::generate_workload(inst.size(), workload);
 
-  // Warm-state hydration through the StateStore when a snapshot directory is
-  // given: a verified snapshot skips the warm-up; a live warm-up is
-  // persisted so the *next* process restores instead of re-warming.  This
-  // runs before the chaos layer is armed, like the engine's own warm-up.
+  // What the engine serves first: the static instance, or epoch 0 of the
+  // epoched one.  Warm-state hydration through the StateStore when a
+  // snapshot directory is given: a verified snapshot skips the warm-up; a
+  // live warm-up is persisted so the *next* process restores instead of
+  // re-warming.  This runs before the chaos layer is armed, like the
+  // engine's own warm-up.
+  const core::LcaKp* first_lca = &lca;
+  std::vector<dyn::UpdateBatch> log;
+  std::optional<dyn::EpochedState> epochs;
+  std::shared_ptr<const dyn::EpochedState::Epoch> epoch0;  // owns first_lca
   std::string warm_source = "live warm-up";
-  if (const auto dir = args.get("snapshot-dir")) {
+  if (epoched) {
+    log = dyn::load_epoch_log(args.require("updates"));
+    if (log.empty()) throw std::invalid_argument("epoch log has no batches");
+    dyn::EpochConfig dyn_config;
+    dyn_config.lca = lca_config;
+    dyn_config.tape_seed = engine_config.warmup_tape_seed;
+    dyn_config.warmup_threads = engine_config.warmup_threads;
+    dyn_config.verify_digest = args.has("verify-epochs");
+    epochs.emplace(inst, dyn_config, registry);
+    epoch0 = epochs->current();
+    first_lca = epoch0->lca.get();
+    engine_config.warm_state = epoch0->run;  // already warmed (and traced)
+  } else if (const auto dir = args.get("snapshot-dir")) {
     std::filesystem::create_directories(*dir);
     store::StateStoreConfig store_config;
     store_config.snapshot_dir = *dir;
@@ -888,20 +702,52 @@ int cmd_serve_engine(const Args& args) {
                       : "live warm-up (persisted)";
   }
 
-  serve::ServeEngine engine(lca, engine_config);
+  serve::ServeEngine engine(*first_lca, engine_config);
   if (chaos) chaos->arm();  // warm-up done: start the scripted storm
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::future<serve::Response>> futures;
-  futures.reserve(trace.size());
-  for (const auto item : trace) futures.push_back(engine.submit(item));
+
+  // A static instance replays as one segment; an epoch log adds one per
+  // batch, and batch k applies after segment k completes.
+  const std::size_t segments = log.size() + 1;
+  const std::size_t per_segment =
+      std::max<std::size_t>(1, trace.size() / segments);
+  const bool print_items = args.has("items");
+  std::map<std::uint64_t, std::uint64_t> ok_by_epoch;
+  std::size_t delta_advances = 0;
   std::size_t yes = 0;
   std::size_t from_cache = 0;
-  for (auto& future : futures) {
-    const auto response = future.get();
-    const bool answered = response.outcome == serve::Outcome::kOk ||
-                          response.outcome == serve::Outcome::kDegraded;
-    yes += answered && response.answer ? 1 : 0;
-    from_cache += response.cache_hit ? 1 : 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t at = 0;
+  for (std::size_t seg = 0; seg < segments; ++seg) {
+    const std::size_t end =
+        seg + 1 == segments ? trace.size()
+                            : std::min(trace.size(), at + per_segment);
+    std::vector<std::future<serve::Response>> futures;
+    futures.reserve(end - at);
+    for (std::size_t q = at; q < end; ++q) futures.push_back(engine.submit(trace[q]));
+    for (std::size_t k = 0; k < futures.size(); ++k) {
+      const auto response = futures[k].get();
+      const bool ok = response.outcome == serve::Outcome::kOk;
+      const bool answered = ok || response.outcome == serve::Outcome::kDegraded;
+      yes += answered && response.answer ? 1 : 0;
+      from_cache += response.cache_hit ? 1 : 0;
+      if (ok) ++ok_by_epoch[response.epoch_id];
+      if (print_items) {
+        std::cout << "item " << trace[at + k] << ": ";
+        if (answered) {
+          std::cout << (response.answer ? "yes" : "no") << (ok ? "" : " (degraded)");
+        } else {
+          std::cout << serve::outcome_name(response.outcome);
+        }
+        std::cout << "\n";
+      }
+    }
+    at = end;
+    if (seg + 1 < segments) {
+      const auto report = epochs->advance(log[seg]);
+      const auto epoch = epochs->current();
+      engine.advance_epoch(epoch->epoch_id, *epoch->lca, epoch->run, epoch);
+      delta_advances += report.delta ? 1 : 0;
+    }
   }
   const double elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -938,7 +784,7 @@ int cmd_serve_engine(const Args& args) {
       .cell(std::to_string(stats.paranoia_checks) + " / " +
             std::to_string(stats.paranoia_violations));
   table.row().cell("warm-up samples").cell(engine.run().samples_used);
-  if (args.get("snapshot-dir")) {
+  if (args.has("snapshot-dir")) {
     table.row().cell("warm state").cell(warm_source);
     table.row().cell("warm state digest").cell(
         std::to_string(core::run_digest(engine.run())));
@@ -967,9 +813,41 @@ int cmd_serve_engine(const Args& args) {
     table.row().cell("certificate log bytes").cell(stats.cert_bytes);
     table.row().cell("certificate dir").cell(engine_config.cert_dir);
   }
-  table.print(std::cout, "serve-engine (" + args.get("shape").value_or("hotspot") +
-                             ", " + std::to_string(engine_config.workers) +
-                             " workers)");
+  if (epochs) {
+    table.row().cell("epochs applied (delta / rewarm)")
+        .cell(std::to_string(log.size()) + " (" +
+              std::to_string(delta_advances) + " / " +
+              std::to_string(log.size() - delta_advances) + ")");
+    std::string by_epoch;
+    for (const auto& [epoch_id, count] : ok_by_epoch) {
+      if (!by_epoch.empty()) by_epoch += ", ";
+      by_epoch += "e" + std::to_string(epoch_id) + "=" + std::to_string(count);
+    }
+    table.row().cell("ok answers by served epoch").cell(
+        by_epoch.empty() ? "(none)" : by_epoch);
+    table.row().cell("cache invalidations").cell(stats.cache_invalidations);
+    table.row().cell("final epoch").cell(stats.epoch);
+    table.row().cell("final warm-state digest").cell(
+        std::to_string(core::run_digest(*epochs->current()->run)));
+  }
+  const std::string trace_name = args.has("items") ? "items"
+                                 : args.has("all") ? "all"
+                                                   : args.get("shape").value_or("hotspot");
+  table.print(std::cout, "serve-engine (" + trace_name + ", " +
+                             std::to_string(engine_config.workers) + " workers" +
+                             (epochs ? ", " + std::to_string(log.size()) +
+                                           " update batches"
+                                     : std::string()) +
+                             ")");
+  // Every served epoch must be one that was actually installed: 0..final.
+  for (const auto& [epoch_id, count] : ok_by_epoch) {
+    if (epoch_id > stats.epoch) {
+      std::cerr << "EPOCH ATTRIBUTION VIOLATION: " << count
+                << " answers claim epoch " << epoch_id
+                << " > final epoch " << stats.epoch << "\n";
+      return 2;
+    }
+  }
   if (stats.paranoia_violations > 0) {
     std::cerr << "CONSISTENCY VIOLATION: cached answers disagreed with "
                  "re-evaluation\n";
@@ -1026,14 +904,13 @@ void usage() {
       "usage: lcaknap_cli <command> [flags] [--metrics=prom|json]\n"
       "  generate --family NAME --n N [--seed S] [--out FILE]\n"
       "  solve    --in FILE [--method exact|greedy|fptas] [--eps E]\n"
-      "  serve    --in FILE [--eps E] [--seed S] (--items i,j,k | --all)\n"
-      "           [--flaky RATE] [--retries N] [--warmup-threads K]\n"
       "  serve    --listen PORT (--in FILE | --tenants a=fileA,b=fileB)\n"
       "           [--instance-id ID] [--eps E] [--seed S] [--tape T]\n"
       "           [--workers W] [--queue-cap N] [--batch-max B] [--linger-us L]\n"
       "           [--cache-cap N] [--cache-shards S] [--deadline-us D]\n"
-      "           [--max-conns N] [--conn-inflight N] [--tenant-inflight N]\n"
-      "           [--store-capacity N] [--snapshot-dir DIR] [--degrade]\n"
+      "           [--warmup-threads K] [--max-conns N] [--conn-inflight N]\n"
+      "           [--tenant-inflight N] [--store-capacity N]\n"
+      "           [--snapshot-dir DIR] [--degrade]\n"
       "           [--chaos-tenant ID --chaos-plan SPEC] [--chaos-seed S]\n"
       "           [--allow-shutdown] [--replica-id N]\n"
       "           [--updates FILE] [--update-interval-ms M]\n"
@@ -1041,17 +918,23 @@ void usage() {
       "  snapshot <save|load|verify> --in FILE --snap PATH [--eps E] [--seed S]\n"
       "           [--tape T] [--warmup-threads K]\n"
       "  serve-engine --in FILE [--eps E] [--seed S] [--tape T]\n"
-      "           [--shape uniform|zipf|hotspot] [--queries Q] [--zipf-s S]\n"
-      "           [--hot-frac F] [--hot-items K] [--workers W] [--queue-cap N]\n"
-      "           [--batch-max B] [--linger-us L] [--cache-cap N]\n"
-      "           [--cache-shards S] [--paranoia-every N] [--deadline-us D]\n"
+      "           [--items i,j,k | --all | [--shape uniform|zipf|hotspot]\n"
+      "            [--queries Q] [--zipf-s S] [--hot-frac F] [--hot-items K]\n"
+      "            [--workload-seed S]]\n"
+      "           [--workers W] [--queue-cap N] [--batch-max B] [--linger-us L]\n"
+      "           [--cache-cap N] [--cache-shards S] [--paranoia-every N]\n"
+      "           [--deadline-us D] [--degrade] [--warmup-threads K]\n"
       "           [--chaos-plan SPEC] [--chaos-seed S] [--retry-attempts N]\n"
       "           [--backoff-us B] [--backoff-max-us M] [--retry-budget R]\n"
-      "           [--breaker] [--degrade] [--warmup-threads K]\n"
-      "           [--snapshot-dir DIR] [--instance-id ID]\n"
-      "           [--certify --cert-dir DIR]\n"
+      "           [--breaker] [--snapshot-dir DIR] [--instance-id ID]\n"
+      "           [--certify --cert-dir DIR [--cert-segment-records N]]\n"
       "           [--updates FILE] [--verify-epochs]\n"
       "  verify-log --log FILE|DIR --snap PATH [--sample K]\n"
+      "Flags take a value as --flag V or --flag=V; integers are decimal or 0x\n"
+      "hex.  A flag the command does not take is a usage error (exit 1).\n"
+      "serve-engine replays a trace through the concurrent serving engine:\n"
+      "the --items list (one 'item i: yes|no' line each, in order), --all\n"
+      "items, or a generated workload (--shape, seeded by --workload-seed).\n"
       "--warmup-threads parallelizes the one-time warm-up run without\n"
       "changing any served answer (deterministic sharded sampling).\n"
       "snapshot save writes a versioned, CRC64-sealed warm-state snapshot;\n"
@@ -1062,10 +945,11 @@ void usage() {
       "StateStore: a verified snapshot named by --instance-id skips the\n"
       "warm-up; a live warm-up is persisted for the next process.\n"
       "--certify emits one CRC-sealed certificate record per evaluated\n"
-      "answer into an atomically-rotated log under --cert-dir; verify-log\n"
-      "replays such a log against the warm-state snapshot offline (zero\n"
-      "oracle access), semantically re-checking every Kth record (--sample),\n"
-      "exit 2 on any rejection (see docs/CERTIFICATES.md).\n"
+      "answer into an atomically-rotated log under --cert-dir (rotating every\n"
+      "--cert-segment-records records); verify-log replays such a log against\n"
+      "the warm-state snapshot offline (zero oracle access), semantically\n"
+      "re-checking every Kth record (--sample), exit 2 on any rejection (see\n"
+      "docs/CERTIFICATES.md).\n"
       "--chaos-plan scripts oracle faults during the replay, e.g.\n"
       "  \"steady:200;outage:100:fail=1;brownout:150:fail=0.2,lat=100..400\"\n"
       "(durations ms, latencies us; see docs/RESILIENCE.md).\n"
@@ -1085,7 +969,8 @@ void usage() {
       "serve-engine splits the replay into one segment per batch and\n"
       "advances deterministically between segments (--verify-epochs also\n"
       "proves every delta warm-up digest-equal to a fresh one, exit 2 on\n"
-      "mismatch); serve --listen applies one batch every\n"
+      "mismatch; --chaos-plan, --breaker, --snapshot-dir and --certify do\n"
+      "not combine with it); serve --listen applies one batch every\n"
       "--update-interval-ms on a live applier thread.  Each advance takes\n"
       "the delta warm-up when provably sound and the full re-warm-up\n"
       "otherwise; answers carry the epoch that served them.\n"
@@ -1093,24 +978,69 @@ void usage() {
       "text exposition or JSON lines); see docs/OBSERVABILITY.md.\n";
 }
 
+/// Flags both serving commands take: the instance, lca_config_from_flags'
+/// and engine_config_from_flags' shared flags, snapshots, chaos and updates.
+const std::vector<std::string> kServingFlags = {
+    "in",          "eps",          "seed",         "tape",
+    "workers",     "queue-cap",    "batch-max",    "linger-us",
+    "cache-cap",   "cache-shards", "deadline-us",  "warmup-threads",
+    "snapshot-dir", "instance-id", "chaos-plan",   "chaos-seed",
+    "updates"};
+
+/// The flags `command` accepts, or nullopt for an unknown command.  Every
+/// command also takes --metrics.
+std::optional<FlagSpec> command_flags(const std::string& command) {
+  FlagSpec spec;
+  if (command == "generate") {
+    spec.values = {"family", "n", "seed", "out"};
+  } else if (command == "solve") {
+    spec.values = {"in", "method", "eps"};
+  } else if (command == "eval") {
+    spec.values = {"in", "eps", "seed", "replicas", "queries"};
+  } else if (command == "snapshot") {
+    spec.values = {"in", "snap", "eps", "seed", "tape", "warmup-threads"};
+  } else if (command == "verify-log") {
+    spec.values = {"log", "snap", "sample"};
+  } else if (command == "serve") {
+    spec.values = kServingFlags;
+    spec.values.insert(spec.values.end(),
+                       {"listen", "tenants", "max-conns", "conn-inflight",
+                        "tenant-inflight", "store-capacity", "chaos-tenant",
+                        "replica-id", "update-interval-ms"});
+    spec.switches = {"degrade", "allow-shutdown"};
+  } else if (command == "serve-engine") {
+    spec.values = kServingFlags;
+    spec.values.insert(spec.values.end(),
+                       {"items", "shape", "queries", "zipf-s", "hot-frac",
+                        "hot-items", "workload-seed", "paranoia-every",
+                        "retry-attempts", "backoff-us", "backoff-max-us",
+                        "retry-budget", "cert-dir", "cert-segment-records"});
+    spec.switches = {"all", "degrade", "breaker", "certify", "verify-epochs"};
+  } else {
+    return std::nullopt;
+  }
+  spec.values.push_back("metrics");
+  return spec;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const auto spec = argc < 2 ? std::nullopt : command_flags(argv[1]);
+  if (!spec) {
     usage();
     return 1;
   }
   const std::string command = argv[1];
   try {
     // `snapshot <action> --flags...` carries a positional action word at
-    // argv[2]; shift the window so the flag parser starts after it.
+    // argv[2]; the flag parser starts after it.
     const bool positional_action = (command == "snapshot");
     if (positional_action &&
         (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0)) {
       throw std::invalid_argument("snapshot needs an action: save|load|verify");
     }
-    const Args args = positional_action ? Args(argc - 1, argv + 1)
-                                        : Args(argc, argv);
+    const Args args(argc, argv, positional_action ? 3 : 2, *spec);
     // Resolve the exporter up front so a bad --metrics value is a usage
     // error before any work happens.
     std::optional<metrics::ExportFormat> metrics_format;
@@ -1132,9 +1062,6 @@ int main(int argc, char** argv) {
       rc = cmd_verify_log(args);
     } else if (command == "snapshot") {
       rc = cmd_snapshot(argv[2], args);
-    } else {
-      usage();
-      return 1;
     }
     if (metrics_format) {
       metrics::write_registry(metrics::global_registry(), *metrics_format, std::cout);

@@ -46,7 +46,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/plan.h"
@@ -61,56 +60,13 @@
 #include "util/table.h"
 #include "util/virtual_clock.h"
 
+#include "args.h"
+
 namespace {
 
 using namespace lcaknap;
-
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw std::invalid_argument("expected --flag, got: " + key);
-      }
-      key = key.substr(2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (key == "json" || key == "corrupt-shipment") {
-        values_[key] = "true";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw std::invalid_argument("--" + key + " needs a value");
-      }
-      values_[key] = argv[++i];
-    }
-  }
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? std::nullopt : std::make_optional(it->second);
-  }
-  [[nodiscard]] std::string require(const std::string& key) const {
-    const auto v = get(key);
-    if (!v) throw std::invalid_argument("--" + key + " is required");
-    return *v;
-  }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
-    const auto v = get(key);
-    return v ? std::stoull(*v, nullptr, 0) : fallback;
-  }
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const {
-    const auto v = get(key);
-    return v ? std::stod(*v) : fallback;
-  }
-
- private:
-  std::unordered_map<std::string, std::string> values_;
-};
+using tools::Args;
+using tools::FlagSpec;
 
 /// One spawned `lcaknap_cli serve --listen` replica process.
 struct ReplicaProcess {
@@ -244,7 +200,7 @@ int cmd_drill(const Args& args) {
   const auto tenant = args.get("tenant").value_or("default");
   const auto check_items =
       std::min<std::uint64_t>(args.get_u64("check-items", 32), items_max);
-  const bool json = args.get("json").has_value();
+  const bool json = args.has("json");
   if (groups < 2) {
     throw std::invalid_argument("--groups must be >= 2 (failover needs a sibling)");
   }
@@ -394,7 +350,7 @@ int cmd_drill(const Args& args) {
   const std::string replacement_dir = work_dir + "/replacement";
   const auto shipped = fleet::ship_snapshot(
       survivor->snapshot_dir + "/" + tenant + ".snap", replacement_dir, tenant);
-  if (args.get("corrupt-shipment")) {
+  if (args.has("corrupt-shipment")) {
     // Chaos in flight: the replacement must typed-reject the shipment and
     // fall back to a live warm-up — slower, but never served.
     fleet::corrupt_snapshot_byte(shipped.path, 64);
@@ -520,7 +476,7 @@ int cmd_check(const Args& args) {
   const auto tenant = args.get("tenant").value_or("default");
   const auto queries = args.get_u64("queries", 64);
   const auto items_max = std::max<std::uint64_t>(1, args.get_u64("items-max", 64));
-  const bool json = args.get("json").has_value();
+  const bool json = args.has("json");
 
   std::vector<fleet::CheckerEndpoint> endpoints;
   std::stringstream ss(targets_csv);
@@ -534,8 +490,7 @@ int cmd_check(const Args& args) {
     fleet::CheckerEndpoint endpoint;
     endpoint.replica_id = endpoints.size() + 1;
     endpoint.host = token.substr(0, colon);
-    endpoint.port =
-        static_cast<std::uint16_t>(std::stoul(token.substr(colon + 1)));
+    endpoint.port = tools::parse_port("targets", token.substr(colon + 1));
     endpoints.push_back(std::move(endpoint));
   }
 
@@ -622,21 +577,38 @@ void usage() {
       "Exit: 0 ok, 1 usage/spawn error, 2 a drilled invariant failed.\n";
 }
 
+/// The flags `command` accepts, or nullopt for an unknown command.
+std::optional<FlagSpec> command_flags(const std::string& command) {
+  if (command == "drill") {
+    return FlagSpec{{"cli", "in", "groups", "queries", "items-max", "kill-after",
+                     "tenant", "check-items", "work-dir", "eps", "seed", "tape",
+                     "vnodes", "ring-seed", "max-attempts", "budget-us",
+                     "chaos-plan", "chaos-seed"},
+                    {"json", "corrupt-shipment"}};
+  }
+  if (command == "check") {
+    return FlagSpec{{"targets", "tenant", "queries", "items-max", "seed"}, {"json"}};
+  }
+  if (command == "map") {
+    return FlagSpec{{"groups", "vnodes", "ring-seed", "tenant-list"}, {}};
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const auto spec = argc < 2 ? std::nullopt : command_flags(argv[1]);
+  if (!spec) {
     usage();
     return 1;
   }
   const std::string command = argv[1];
   try {
-    const Args args(argc, argv, 2);
+    const Args args(argc, argv, 2, *spec);
     if (command == "drill") return cmd_drill(args);
     if (command == "check") return cmd_check(args);
-    if (command == "map") return cmd_map(args);
-    usage();
-    return 1;
+    return cmd_map(args);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     usage();

@@ -72,47 +72,13 @@
 #include "util/request_trace.h"
 #include "util/table.h"
 
+#include "args.h"
+
 namespace {
 
 using namespace lcaknap;
+using tools::Args;
 using Clock = std::chrono::steady_clock;
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw std::invalid_argument("expected --flag, got: " + key);
-      }
-      key = key.substr(2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (key == "json" || key == "shutdown") {
-        values_[key] = "true";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw std::invalid_argument("--" + key + " needs a value");
-      }
-      values_[key] = argv[++i];
-    }
-  }
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? std::nullopt : std::make_optional(it->second);
-  }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
-    const auto v = get(key);
-    return v ? std::stoull(*v) : fallback;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// Per-connection tally, merged after the run.
 struct ConnResult {
@@ -433,8 +399,7 @@ std::string status_summary(const std::array<std::uint64_t, 8>& by_status) {
 int run(const Args& args) {
   RunConfig config;
   config.host = args.get("host").value_or("127.0.0.1");
-  config.port = static_cast<std::uint16_t>(
-      std::stoul(args.get("port").value_or("0")));
+  config.port = tools::parse_port("port", args.get("port").value_or("0"));
   // Multi-endpoint mode: "--targets host:port,host:port" drives every
   // replica of a fleet concurrently with the same workload shape; the
   // conservation law then has to hold per target AND across the fleet.
@@ -449,9 +414,8 @@ int run(const Args& args) {
         throw std::invalid_argument("--targets entries are host:port, got: " +
                                     token);
       }
-      targets.emplace_back(
-          token.substr(0, colon),
-          static_cast<std::uint16_t>(std::stoul(token.substr(colon + 1))));
+      targets.emplace_back(token.substr(0, colon),
+                           tools::parse_port("targets", token.substr(colon + 1)));
     }
     if (targets.empty()) throw std::invalid_argument("--targets list is empty");
   } else {
@@ -503,7 +467,7 @@ int run(const Args& args) {
       throw std::invalid_argument("--trace-replay: trace has no records");
     }
     // --queries caps the replay; otherwise the whole log is sent once.
-    if (args.get("queries")) {
+    if (args.has("queries")) {
       const auto cap = args.get_u64("queries", replay_records.size());
       if (cap < replay_records.size()) replay_records.resize(cap);
     }
@@ -577,7 +541,7 @@ int run(const Args& args) {
     conserved = conserved && outcome.total.sent == outcome.total.received;
   }
 
-  if (args.get("json")) {
+  if (args.has("json")) {
     std::ostringstream json;
     json << "{\"mode\":\"" << mode << "\",\"shape\":\"" << shape
          << "\",\"connections\":"
@@ -660,7 +624,7 @@ int run(const Args& args) {
       per_target.print(std::cout, "per target");
     }
   }
-  if (args.get("shutdown")) {
+  if (args.has("shutdown")) {
     // Ask every --allow-shutdown server to exit (scripted runs / CI smoke).
     for (const auto& [host, port] : targets) {
       net::Client client(host, port);
@@ -683,7 +647,12 @@ int run(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(Args(argc, argv));
+    return run(Args(argc, argv, 1,
+                    {{"host", "port", "targets", "tenant", "mode", "connections",
+                      "window", "queries", "duration-ms", "qps", "items-max",
+                      "seed", "deadline-us", "shape", "period-ms", "trace-record",
+                      "trace-replay"},
+                     {"json", "shutdown"}}));
   } catch (const std::invalid_argument& e) {
     std::cerr << "usage error: " << e.what() << "\n"
               << "usage: lcaknap_loadgen (--port P [--host H] |"

@@ -12,10 +12,8 @@
 //
 // Exit codes: 0 clean, 1 usage error, 2 any rejection or runtime failure.
 
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -23,33 +21,11 @@
 #include "store/snapshot.h"
 #include "util/table.h"
 
+#include "args.h"
+
 namespace {
 
 using namespace lcaknap;
-
-/// Tiny flag parser (the full CLI's Args, minus the boolean whitelist this
-/// binary does not need beyond --quiet).
-std::map<std::string, std::string> parse_flags(int argc, char** argv) {
-  std::map<std::string, std::string> values;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      throw std::invalid_argument("expected --flag, got: " + key);
-    }
-    key = key.substr(2);
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      values[key.substr(0, eq)] = key.substr(eq + 1);
-      continue;
-    }
-    if (key == "quiet") {
-      values[key] = "true";
-      continue;
-    }
-    if (i + 1 >= argc) throw std::invalid_argument("--" + key + " needs a value");
-    values[key] = argv[++i];
-  }
-  return values;
-}
 
 void usage() {
   std::cerr << "usage: lcaknap_verify_log --log FILE|DIR --snap PATH"
@@ -63,28 +39,27 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
+  std::optional<tools::Args> args;
+  cert::VerifierConfig config;
   try {
-    flags = parse_flags(argc, argv);
-    if (!flags.count("log") || !flags.count("snap")) {
+    args.emplace(argc, argv, 1,
+                 tools::FlagSpec{{"log", "snap", "sample"}, {"quiet"}});
+    if (!args->has("log") || !args->has("snap")) {
       throw std::invalid_argument("--log and --snap are required");
     }
+    config.sample_every = args->get_u64("sample", config.sample_every);
   } catch (const std::exception& e) {
     std::cerr << "usage error: " << e.what() << "\n";
     usage();
     return 1;
   }
   try {
-    cert::VerifierConfig config;
-    if (const auto it = flags.find("sample"); it != flags.end()) {
-      config.sample_every = std::stoull(it->second);
-    }
     store::SnapshotFingerprint fingerprint;
-    const auto run = store::read_snapshot(flags.at("snap"), nullptr, &fingerprint);
+    const auto run = store::read_snapshot(args->require("snap"), nullptr, &fingerprint);
     const cert::LogVerifier verifier(fingerprint, run, config);
-    const auto report = verifier.verify_path(flags.at("log"));
+    const auto report = verifier.verify_path(args->require("log"));
 
-    if (!flags.count("quiet")) {
+    if (!args->has("quiet")) {
       util::Table table({"metric", "value"});
       table.row().cell("segments").cell(report.segments);
       table.row().cell("records").cell(report.records);
