@@ -11,8 +11,8 @@
 //     run under the identical kill schedule must lose queries — otherwise
 //     the comparison is vacuous and the bench fails itself.
 //  2. **Bootstrap-to-warm <= 10x a local snapshot restore.**  Shipping a
-//     snapshot to a joining replica (copy + fsync + rename + fingerprint-
-//     checked hydration) must cost at most 10x hydrating the same snapshot
+//     snapshot to a joining replica (copy + rename + fingerprint-checked
+//     hydration) must cost at most 10x hydrating the same snapshot
 //     in place.  Both are best-of-5 to keep filesystem jitter honest; the
 //     live warm-up cost is reported alongside as the price bootstrap avoids.
 //

@@ -19,17 +19,18 @@
 /// worst outcome of a corrupted shipment is the cold-start cost (E21 pins
 /// the good case at <= 10x a local snapshot restore).
 ///
-/// `ship_snapshot` follows the store's own crash-safety discipline: write
-/// the copy to a temp file in the destination directory, fsync, then
-/// atomically rename into place.  A reader that races the shipment sees the
+/// `ship_snapshot` follows the store's own write discipline: write the copy
+/// to a temp file in the destination directory, flush it, then atomically
+/// rename it into place.  A reader that races the shipment sees the
 /// complete old file or the complete new file, never a torn prefix — the
-/// atomic-rename race test in tests/store pins the reader side.
+/// atomic-rename race test in tests/store pins the reader side.  Neither
+/// this nor `store::write_snapshot` fsyncs, so a crash of the host can
+/// still lose a shipment that was renamed into place.
 ///
 /// `wait_ready` polls the wire-level health frame (`RequestFrame::kFlagHealth`,
-/// docs/NETWORKING.md) until every named tenant reports warm.  The probe is
-/// answered on the server's event loop from the hydration state machine, so
-/// a replica mid-restore answers "not ready" instantly instead of parking
-/// the probe behind the very hydration it is asking about.
+/// docs/NETWORKING.md) until every named tenant reports warm.  A restoring
+/// replica warms every tenant before it listens, so until then the probe
+/// finds no listener, which counts as "not ready yet".
 
 namespace lcaknap::fleet {
 
@@ -39,7 +40,7 @@ struct ShipResult {
 };
 
 /// Copies `source_path` into `dest_dir` as `<tenant_id>.snap` (the
-/// StateStore's snapshot naming) via temp file + fsync + atomic rename.
+/// StateStore's snapshot naming) via temp file + atomic rename.
 /// Throws std::system_error / std::runtime_error on I/O failure; performs
 /// no content verification — that is deliberately left to the restoring
 /// replica's fingerprint check, which is the trust boundary.

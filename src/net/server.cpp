@@ -32,7 +32,7 @@ void set_nonblocking(int fd) {
 
 std::vector<double> frame_latency_buckets() {
   // 1 us up by factor 2 to ~0.5 s: loopback cache hits at the bottom,
-  // hydration-parked and deadline-scale frames at the top.
+  // deadline-scale frames at the top.
   return metrics::Histogram::exponential_buckets(1.0, 2.0, 20);
 }
 
@@ -42,10 +42,10 @@ Server::Sink::~Sink() {
   if (event_fd >= 0) ::close(event_fd);
 }
 
-void Server::Sink::push(std::uint64_t conn_id, std::string bytes) {
+void Server::Sink::push(Completion completion) {
   std::lock_guard<std::mutex> lock(mutex);
   if (closed) return;
-  ready.emplace_back(conn_id, std::move(bytes));
+  ready.push_back(std::move(completion));
   const std::uint64_t one = 1;
   // The eventfd write can only fail if the counter saturates; the loop is
   // already guaranteed to wake in that case.
@@ -135,7 +135,7 @@ void Server::stop() {
     if (loop_.joinable()) loop_.join();
     return;
   }
-  sink_->push(0, std::string());  // wake the loop; conn id 0 never exists
+  sink_->push({});  // wake the loop; conn id 0 never exists
   if (loop_.joinable()) loop_.join();
   {
     std::lock_guard<std::mutex> lock(sink_->mutex);
@@ -358,10 +358,8 @@ void Server::handle_frame(Connection& conn, const RequestFrame& frame,
   }
   conn.inflight += 1;
   // The callback runs on an arbitrary engine/router thread (or this one,
-  // synchronously, for rejections): encode there, hand the bytes to the
-  // loop through the sink.  `latency` is observed at enqueue time in
-  // handle_completions via the pre-encoded timestamp closure instead; we
-  // keep it simple and observe here only for synchronous completions.
+  // synchronously, for rejections): encode there, hand the bytes and their
+  // status to the loop through the sink.
   auto sink = sink_;
   const std::uint64_t conn_id = conn.id;
   const std::uint64_t replica_id = config_.replica_id;
@@ -375,17 +373,17 @@ void Server::handle_frame(Connection& conn, const RequestFrame& frame,
     latency->observe(std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() - received_at)
                          .count());
-    sink->push(conn_id, std::move(bytes));
+    sink->push({conn_id, response.status, std::move(bytes)});
   });
 }
 
 void Server::handle_completions() {
-  std::vector<std::pair<std::uint64_t, std::string>> ready;
+  std::vector<Completion> ready;
   {
     std::lock_guard<std::mutex> lock(sink_->mutex);
     ready.swap(sink_->ready);
   }
-  for (auto& [conn_id, bytes] : ready) {
+  for (const auto& [conn_id, status, bytes] : ready) {
     if (bytes.empty()) continue;  // stop() wake marker
     const auto it = connections_.find(conn_id);
     if (it == connections_.end()) {
@@ -395,15 +393,7 @@ void Server::handle_completions() {
     }
     Connection& conn = it->second;
     if (conn.inflight > 0) conn.inflight -= 1;
-    // Routed completions carry a decoded status in their bytes; recover it
-    // for the status counters without re-decoding: byte 10..11 is status.
-    ResponseFrame response;
-    try {
-      (void)decode(bytes, response);
-      count_status(response.status);
-    } catch (const WireDecodeError&) {
-      // Unreachable: we encoded these bytes ourselves.
-    }
+    count_status(status);
     conn.outbuf.append(bytes);
     flush(conn);
     update_write_interest(conn);

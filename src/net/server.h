@@ -41,10 +41,11 @@
 ///
 /// Threading: the event loop owns all connection state (buffers, in-flight
 /// counts); engine threads never touch it.  Completions are marshalled —
-/// the router callback encodes the response, appends it to a mutex-guarded
-/// ready list, and signals an eventfd the loop polls; the loop moves bytes
-/// onto the connection's write buffer.  A completion for a connection that
-/// died in the meantime is dropped by id lookup, never a dangling write.
+/// the router callback encodes the response, appends it with its status to
+/// a mutex-guarded ready list, and signals an eventfd the loop polls; the
+/// loop counts the status and moves the bytes onto the connection's write
+/// buffer.  A completion for a connection that died in the meantime is
+/// dropped by id lookup, never a dangling write.
 ///
 /// Malformed frames (typed `WireDecodeError`) get a best-effort kBadRequest
 /// response and the connection is closed after flush — past a framing
@@ -140,17 +141,22 @@ class Server {
     bool want_write = false;      ///< EPOLLOUT currently armed
   };
 
+  /// One routed response, encoded off the loop thread.
+  struct Completion {
+    std::uint64_t conn_id = 0;
+    WireStatus status = WireStatus::kOk;
+    std::string bytes;
+  };
   /// Completion mailbox shared with router callbacks; outlives the server
   /// if engine threads still hold callbacks when it is destroyed.
   struct Sink {
     std::mutex mutex;
-    std::vector<std::pair<std::uint64_t, std::string>> ready;
+    std::vector<Completion> ready;
     int event_fd = -1;
     bool closed = false;
     ~Sink();
-    /// Appends pre-encoded response bytes for connection `conn_id` and
-    /// wakes the loop; no-op once closed.
-    void push(std::uint64_t conn_id, std::string bytes);
+    /// Appends `completion` and wakes the loop; no-op once closed.
+    void push(Completion completion);
   };
 
   void event_loop();

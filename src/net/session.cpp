@@ -14,8 +14,8 @@ TenantRouter::TenantRouter(store::StateStore& store,
           "Tenants with a warm engine in the router (hydrated, serving)")),
       hydration_failures_(&registry.counter(
           "net_hydration_failures_total",
-          "Tenant hydrations that failed; their parked frames were "
-          "completed kError")) {}
+          "Tenant hydrations that failed; the tenant's frames are answered "
+          "kError")) {}
 
 TenantRouter::~TenantRouter() { drain(); }
 
@@ -52,26 +52,6 @@ void TenantRouter::complete(Tenant& tenant, std::uint64_t request_id,
   cb(response);
 }
 
-void TenantRouter::submit_to_engine(
-    Tenant& tenant, std::uint64_t request_id, std::uint64_t item,
-    std::uint64_t deadline_us, std::function<void(const ResponseFrame&)> cb) {
-  // The engine fires the completion exactly once from one of its threads;
-  // translate its outcome onto the wire and settle the tenant's quota there.
-  auto on_done = [this, &tenant, request_id,
-                  cb = std::move(cb)](const serve::Response& r) {
-    complete(tenant, request_id, wire_status_of(r.outcome), cb, r.answer,
-             r.cache_hit, r.epoch_id);
-  };
-  if (deadline_us == 0) {
-    tenant.engine->submit(static_cast<std::size_t>(item), std::move(on_done));
-  } else {
-    tenant.engine->submit(
-        static_cast<std::size_t>(item),
-        std::chrono::microseconds(static_cast<std::int64_t>(deadline_us)),
-        std::move(on_done));
-  }
-}
-
 void TenantRouter::route(const RequestFrame& frame,
                          std::function<void(const ResponseFrame&)> cb) {
   routed_.fetch_add(1, std::memory_order_relaxed);
@@ -101,86 +81,61 @@ void TenantRouter::route(const RequestFrame& frame,
     complete(*tenant, frame.request_id, WireStatus::kOverloaded, cb);
     return;
   }
-  bool start_hydration = false;
-  bool parked = false;
-  bool failed = false;
+  serve::ServeEngine* engine = nullptr;
   {
     std::lock_guard<std::mutex> lock(tenant->mutex);
-    switch (tenant->state) {
-      case TenantState::kWarm:
-        break;  // fall through to the engine below
-      case TenantState::kCold:
-        tenant->state = TenantState::kHydrating;
-        start_hydration = true;
-        [[fallthrough]];
-      case TenantState::kHydrating:
-        parked_count_.fetch_add(1, std::memory_order_relaxed);
-        tenant->parked.push_back(Parked{frame.request_id, frame.item,
-                                        frame.deadline_us, std::move(cb)});
-        parked = true;
-        break;
-      case TenantState::kFailed:
-        failed = true;
-        break;
-    }
+    if (tenant->state == TenantState::kWarm) engine = tenant->engine.get();
   }
-  if (failed) {
+  if (engine == nullptr) {
+    // Not warm (cold, mid-warm_all, or failed): the router starts nothing.
     complete(*tenant, frame.request_id, WireStatus::kError, cb);
     return;
   }
-  if (start_hydration) {
-    const std::string id = frame.tenant;
-    std::lock_guard<std::mutex> lock(mutex_);
-    hydrators_.emplace_back(
-        [this, id, tenant] { hydrate(id, *tenant); });
-    return;
+  // The engine fires the completion exactly once from one of its threads;
+  // translate its outcome onto the wire and settle the tenant's quota there.
+  auto on_done = [this, tenant, request_id = frame.request_id,
+                  cb = std::move(cb)](const serve::Response& r) {
+    complete(*tenant, request_id, wire_status_of(r.outcome), cb, r.answer,
+             r.cache_hit, r.epoch_id);
+  };
+  const auto item = static_cast<std::size_t>(frame.item);
+  if (frame.deadline_us == 0) {
+    engine->submit(item, std::move(on_done));
+  } else {
+    engine->submit(item,
+                   std::chrono::microseconds(
+                       static_cast<std::int64_t>(frame.deadline_us)),
+                   std::move(on_done));
   }
-  if (parked) return;  // the hydration epilogue will submit it
-  submit_to_engine(*tenant, frame.request_id, frame.item, frame.deadline_us,
-                   std::move(cb));
 }
 
 void TenantRouter::hydrate(const std::string& id, Tenant& tenant) {
   std::unique_ptr<serve::ServeEngine> engine;
-  std::exception_ptr error;
   try {
-    // Single-flight is layered: the StateStore coalesces concurrent
-    // warm-ups of the same id across the process, and the router's state
-    // machine guarantees at most one hydration thread per tenant anyway.
-    auto run = store_->get(id, *tenant.config.lca, tenant.config.tape_seed);
     serve::EngineConfig engine_config = tenant.config.engine;
-    engine_config.warm_state = std::move(run);
+    if (engine_config.warm_state == nullptr) {
+      engine_config.warm_state =
+          store_->get(id, *tenant.config.lca, tenant.config.tape_seed);
+    }
     engine_config.warmup_tape_seed = tenant.config.tape_seed;
     engine = std::make_unique<serve::ServeEngine>(*tenant.config.lca,
                                                   engine_config, *registry_);
   } catch (...) {
-    error = std::current_exception();
-  }
-  std::vector<Parked> parked;
-  {
-    std::lock_guard<std::mutex> lock(tenant.mutex);
-    parked.swap(tenant.parked);
-    if (error) {
+    {
+      std::lock_guard<std::mutex> lock(tenant.mutex);
       tenant.state = TenantState::kFailed;
-    } else {
-      tenant.engine = std::move(engine);
-      tenant.state = TenantState::kWarm;
     }
-  }
-  if (error) {
     hydration_failures_count_.fetch_add(1, std::memory_order_relaxed);
     hydration_failures_->inc();
-    for (auto& p : parked) {
-      complete(tenant, p.request_id, WireStatus::kError, p.cb);
-    }
     return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(tenant.mutex);
+    tenant.engine = std::move(engine);
+    tenant.state = TenantState::kWarm;
   }
   hydrations_.fetch_add(1, std::memory_order_relaxed);
   tenants_warm_->add(1.0);
-  for (auto& p : parked) {
-    submit_to_engine(tenant, p.request_id, p.item, p.deadline_us,
-                     std::move(p.cb));
-  }
 }
 
 void TenantRouter::warm_all() {
@@ -200,19 +155,6 @@ void TenantRouter::warm_all() {
 
 void TenantRouter::drain() {
   draining_.store(true, std::memory_order_relaxed);
-  // Re-check after joining: a route racing the drain flag may have spawned
-  // one more hydrator between our swap and its emplace.
-  while (true) {
-    std::vector<std::thread> hydrators;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      hydrators.swap(hydrators_);
-    }
-    if (hydrators.empty()) break;
-    for (auto& t : hydrators) {
-      if (t.joinable()) t.join();
-    }
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [id, tenant] : tenants_) {
     (void)id;
@@ -226,7 +168,6 @@ RouterStats TenantRouter::stats() const {
   stats.completed = completed_.load(std::memory_order_relaxed);
   stats.unknown_tenant = unknown_tenant_.load(std::memory_order_relaxed);
   stats.quota_shed = quota_shed_.load(std::memory_order_relaxed);
-  stats.parked = parked_count_.load(std::memory_order_relaxed);
   stats.hydrations = hydrations_.load(std::memory_order_relaxed);
   stats.hydration_failures =
       hydration_failures_count_.load(std::memory_order_relaxed);

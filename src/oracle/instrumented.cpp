@@ -1,54 +1,24 @@
 #include "oracle/instrumented.h"
 
-#include <cmath>
-
 namespace lcaknap::oracle {
 
-namespace {
-constexpr const char* kLatencyHelp =
-    "Simulated per-access oracle latency in microseconds (fixed + exp tail)";
-}  // namespace
-
 InstrumentedAccess::InstrumentedAccess(const InstanceAccess& inner,
-                                       metrics::Registry& registry,
-                                       std::optional<LatencyModel> model,
-                                       std::uint64_t latency_seed)
+                                       metrics::Registry& registry)
     : inner_(&inner),
       queries_total_(&registry.counter(
           "oracle_queries_total",
           "Per-index oracle queries (Definition 2.2 query access)")),
       samples_total_(&registry.counter(
           "oracle_samples_total",
-          "Profit-weighted sampling draws ([IKY12] sampling access)")),
-      model_(model),
-      latency_rng_(latency_seed) {
-  if (model_.has_value()) {
-    latency_us_ = &registry.histogram(
-        "oracle_access_latency_us", kLatencyHelp,
-        metrics::Histogram::exponential_buckets(10.0, 1.6, 22));
-  }
-}
-
-void InstrumentedAccess::record_latency() const {
-  if (latency_us_ == nullptr) return;
-  double us = 0.0;
-  {
-    const std::lock_guard lock(mutex_);
-    const double u = latency_rng_.next_double();
-    us = model_->fixed_us - model_->exp_mean_us * std::log1p(-u);
-  }
-  latency_us_->observe(us);
-}
+          "Profit-weighted sampling draws ([IKY12] sampling access)")) {}
 
 knapsack::Item InstrumentedAccess::do_query(std::size_t i) const {
   queries_total_->inc();
-  record_latency();
   return inner_->query(i);
 }
 
 WeightedDraw InstrumentedAccess::do_sample(util::Xoshiro256& rng) const {
   samples_total_->inc();
-  record_latency();
   return inner_->weighted_sample(rng);
 }
 

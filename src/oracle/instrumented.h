@@ -2,23 +2,17 @@
 #define LCAKNAP_ORACLE_INSTRUMENTED_H
 
 #include <cstdint>
-#include <mutex>
-#include <optional>
 
 #include "metrics/metrics.h"
 #include "oracle/access.h"
-#include "oracle/latency_model.h"
 
 /// \file instrumented.h
 /// The canonical read-out path for access costs.  `InstrumentedAccess` wraps
 /// any oracle and records every call into named metric families in a
 /// `metrics::Registry`:
 ///
-///   * `oracle_queries_total`      — per-index queries (Definition 2.2);
-///   * `oracle_samples_total`      — weighted-sampling draws (Section 4);
-///   * `oracle_access_latency_us`  — simulated per-access latency histogram,
-///                                   recorded only when a `LatencyModel` is
-///                                   supplied.
+///   * `oracle_queries_total`  — per-index queries (Definition 2.2);
+///   * `oracle_samples_total`  — weighted-sampling draws (Section 4).
 ///
 /// The legacy `InstanceAccess` atomics keep working (the base class still
 /// counts every call through this decorator), but they are now shims for
@@ -26,23 +20,16 @@
 /// benches all read the registry.  Placed innermost-but-one in a decorator
 /// stack (directly above storage), its counts equal the storage oracle's
 /// legacy counters call-for-call — `tests/oracle/instrumented_test.cpp` pins
-/// that equivalence.
-///
-/// Latency simulation draws from the decorator's own mutex-guarded RNG and
-/// never touches the caller's sampling tape, so instrumenting an oracle
-/// cannot change any algorithmic outcome.
+/// that equivalence.  Simulated access latency is `LatencyAccess`'s job
+/// (oracle/latency_model.h).
 
 namespace lcaknap::oracle {
 
 class InstrumentedAccess final : public InstanceAccess {
  public:
-  /// `inner` must outlive this object.  When `model` is supplied, each access
-  /// also observes one simulated latency draw (fixed + exponential tail)
-  /// into `oracle_access_latency_us`.
+  /// `inner` must outlive this object.
   explicit InstrumentedAccess(const InstanceAccess& inner,
-                              metrics::Registry& registry = metrics::global_registry(),
-                              std::optional<LatencyModel> model = std::nullopt,
-                              std::uint64_t latency_seed = 0x11A7);
+                              metrics::Registry& registry = metrics::global_registry());
 
   [[nodiscard]] std::size_t size() const noexcept override { return inner_->size(); }
   [[nodiscard]] std::int64_t capacity() const noexcept override {
@@ -60,15 +47,9 @@ class InstrumentedAccess final : public InstanceAccess {
   [[nodiscard]] WeightedDraw do_sample(util::Xoshiro256& rng) const override;
 
  private:
-  void record_latency() const;
-
   const InstanceAccess* inner_;
   metrics::Counter* queries_total_;
   metrics::Counter* samples_total_;
-  metrics::Histogram* latency_us_ = nullptr;  // null when no model supplied
-  std::optional<LatencyModel> model_;
-  mutable std::mutex mutex_;
-  mutable util::Xoshiro256 latency_rng_;
 };
 
 }  // namespace lcaknap::oracle

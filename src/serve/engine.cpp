@@ -217,15 +217,11 @@ void ServeEngine::finish(Request& request, const Response& response) {
   latency_us_->observe(std::chrono::duration<double, std::micro>(
                            Clock::now() - request.enqueued_at)
                            .count());
-  if (request.callback) {
-    // Callback path: exactly-once like the promise path, and exception-safe —
-    // a throwing callback must never take down the worker that ran it.
-    try {
-      request.callback(response);
-    } catch (...) {
-    }
-  } else {
-    request.promise.set_value(response);
+  // Exactly once, and exception-safe: a throwing callback must never take
+  // down the worker that ran it.
+  try {
+    request.callback(response);
+  } catch (...) {
   }
 }
 
@@ -241,7 +237,13 @@ std::uint64_t ServeEngine::deadline_from(
   return now + rel;
 }
 
-void ServeEngine::admit(Request&& request) {
+void ServeEngine::admit(std::size_t item, std::uint64_t deadline_us,
+                        CompletionCallback callback) {
+  Request request;
+  request.item = item;
+  request.enqueued_at = Clock::now();
+  request.deadline_us = deadline_us;
+  request.callback = std::move(callback);
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (!queue_.try_push(std::move(request))) {
     // try_push fails without consuming the request; reject it here so every
@@ -253,50 +255,46 @@ void ServeEngine::admit(Request&& request) {
   queue_depth_gauge_->set(static_cast<double>(queue_.depth()));
 }
 
-std::future<Response> ServeEngine::submit_at(std::size_t item,
-                                             std::uint64_t deadline_us) {
-  Request request;
-  request.item = item;
-  request.enqueued_at = Clock::now();
-  request.deadline_us = deadline_us;
-  auto future = request.promise.get_future();
-  admit(std::move(request));
-  return future;
-}
-
-std::future<Response> ServeEngine::submit(std::size_t item) {
-  if (config_.default_deadline.count() != 0) {
-    return submit(item, config_.default_deadline);
-  }
-  return submit_at(item, Request::kNoDeadline);
-}
-
-std::future<Response> ServeEngine::submit(std::size_t item,
-                                          std::chrono::microseconds deadline) {
-  return submit_at(item, deadline_from(deadline));
-}
-
-void ServeEngine::submit_cb(std::size_t item, std::uint64_t deadline_us,
-                            CompletionCallback callback) {
-  Request request;
-  request.item = item;
-  request.enqueued_at = Clock::now();
-  request.deadline_us = deadline_us;
-  request.callback = std::move(callback);
-  admit(std::move(request));
-}
-
 void ServeEngine::submit(std::size_t item, CompletionCallback callback) {
   if (config_.default_deadline.count() != 0) {
     submit(item, config_.default_deadline, std::move(callback));
     return;
   }
-  submit_cb(item, Request::kNoDeadline, std::move(callback));
+  admit(item, Request::kNoDeadline, std::move(callback));
 }
 
 void ServeEngine::submit(std::size_t item, std::chrono::microseconds deadline,
                          CompletionCallback callback) {
-  submit_cb(item, deadline_from(deadline), std::move(callback));
+  admit(item, deadline_from(deadline), std::move(callback));
+}
+
+namespace {
+
+/// The future adapter's callback: it owns a heap promise, fulfils it once
+/// and frees it.  Capturing one pointer keeps the callable inside
+/// std::function's small buffer.
+CompletionCallback fulfil(std::promise<Response>* promise) {
+  return [promise](const Response& response) {
+    promise->set_value(response);
+    delete promise;
+  };
+}
+
+}  // namespace
+
+std::future<Response> ServeEngine::submit(std::size_t item) {
+  auto* promise = new std::promise<Response>();
+  auto future = promise->get_future();
+  submit(item, fulfil(promise));
+  return future;
+}
+
+std::future<Response> ServeEngine::submit(std::size_t item,
+                                          std::chrono::microseconds deadline) {
+  auto* promise = new std::promise<Response>();
+  auto future = promise->get_future();
+  submit(item, deadline, fulfil(promise));
+  return future;
 }
 
 Response ServeEngine::submit_wait(std::size_t item) {
@@ -352,8 +350,8 @@ void ServeEngine::dispatch_ready(std::vector<Batch>& ready) {
       ready.size() / std::max<std::size_t>(1, config_.workers), 1, 8);
   for (std::size_t begin = 0; begin < ready.size(); begin += per_task) {
     const std::size_t end = std::min(begin + per_task, ready.size());
-    // std::function requires copyable callables; batches hold move-only
-    // promises, so they travel to the worker behind a shared_ptr.
+    // The group travels to the worker behind a shared_ptr, so the pool
+    // task is one small closure rather than a copy of every request.
     auto boxed = std::make_shared<std::vector<Batch>>();
     boxed->reserve(end - begin);
     for (std::size_t i = begin; i < end; ++i) boxed->push_back(std::move(ready[i]));

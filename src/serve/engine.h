@@ -38,8 +38,8 @@
 ///                             one shard-grouped AnswerCache get → the
 ///                             misses through `core::BatchEval` (one oracle
 ///                             read per miss, classified by LcaKp's own
-///                             lines 20-24) → one cache put → fulfil every
-///                             request's future
+///                             lines 20-24) → one cache put → complete
+///                             every request
 /// Deadlines are checked at dispatch and again at evaluation; expired
 /// requests are shed with kDeadlineExceeded.  `drain()` closes admission,
 /// flushes the batcher, and completes every in-flight request — an admitted
@@ -118,7 +118,7 @@ struct EngineConfig {
   /// rotated log under `cert_dir`.  Cache hits certify from the witness
   /// stored in the `AnswerCache` entry, so certification adds zero oracle
   /// reads.  Degraded answers are never certified (they may be below LCA
-  /// quality and carry no witness).  `lcaknap verify-log` replays the log
+  /// quality and carry no witness).  `lcaknap_verify_log` replays the log
   /// against a warm-state snapshot offline.
   bool certify = false;
   /// Directory for certificate log segments; must exist when `certify` is
@@ -163,30 +163,27 @@ class ServeEngine {
   ServeEngine(const core::LcaKp& lca, const EngineConfig& config,
               metrics::Registry& registry = metrics::global_registry());
 
-  /// Drains (all outstanding futures complete) and joins all threads.
+  /// Drains (every outstanding request completes) and joins all threads.
   ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Submits a membership query; the future always completes (with an
-  /// answer, or an admission/deadline/error outcome).  Applies
-  /// `config().default_deadline` when nonzero.
-  [[nodiscard]] std::future<Response> submit(std::size_t item);
-  /// Same, with an explicit per-request deadline (from now).
-  [[nodiscard]] std::future<Response> submit(std::size_t item,
-                                             std::chrono::microseconds deadline);
-  /// Non-blocking completion API: `callback` is invoked exactly once with
-  /// the response, from whichever engine thread finishes the request (the
-  /// submitting thread itself for admission rejections).  The conservation
-  /// law and every outcome counter treat this path identically to the
-  /// future path.  The callback must not block or throw; the network
-  /// front-end (src/net/) uses it to marshal completions onto connection
-  /// write queues without parking a thread per request.
+  /// Submits a membership query: `callback` is invoked exactly once with
+  /// the response (an answer, or an admission/deadline/error outcome), from
+  /// whichever engine thread finishes the request (the submitting thread
+  /// itself for admission rejections).  The callback must not block or
+  /// throw; the network front-end (src/net/) uses it to marshal completions
+  /// onto connection write queues without parking a thread per request.
+  /// Applies `config().default_deadline` when nonzero.
   void submit(std::size_t item, CompletionCallback callback);
   /// Same, with an explicit per-request deadline (from now).
   void submit(std::size_t item, std::chrono::microseconds deadline,
               CompletionCallback callback);
+  /// Future adapters over the callback path: the future always completes.
+  [[nodiscard]] std::future<Response> submit(std::size_t item);
+  [[nodiscard]] std::future<Response> submit(std::size_t item,
+                                             std::chrono::microseconds deadline);
   /// Convenience: submit and block for the response.
   [[nodiscard]] Response submit_wait(std::size_t item);
 
@@ -251,13 +248,10 @@ class ServeEngine {
   /// negative values land at "now" (already expired).
   [[nodiscard]] std::uint64_t deadline_from(
       std::chrono::microseconds deadline) const;
-  [[nodiscard]] std::future<Response> submit_at(std::size_t item,
-                                                std::uint64_t deadline_us);
-  void submit_cb(std::size_t item, std::uint64_t deadline_us,
-                 CompletionCallback callback);
-  /// Common admission path; completes the request kOverloaded when the
+  /// The one admission path; completes the request kOverloaded when the
   /// bounded queue refuses it.
-  void admit(Request&& request);
+  void admit(std::size_t item, std::uint64_t deadline_us,
+             CompletionCallback callback);
   void dispatch_loop();
   /// Hands `ready` to the worker pool, grouping several batches per pool
   /// task when the backlog is deep (amortizes per-task overhead) while

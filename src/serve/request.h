@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 
 /// \file request.h
 /// The request vocabulary of the concurrent serving engine (src/serve/).
@@ -19,12 +18,11 @@
 /// or "too late" instead of an answer; it must never say two different
 /// answers for the same item).
 ///
-/// Completion travels back one of two ways, chosen at submission: a
-/// `std::future<Response>` (the original blocking-consumer API) or a
-/// completion callback (the non-blocking API the network front-end
-/// `src/net/` marshals onto connection write queues).  Exactly one of the
-/// two fires, exactly once, for every submitted request — the conservation
-/// law counts both paths identically.
+/// Completion travels back one way: the request's completion callback,
+/// invoked exactly once for every submitted request.  The network front-end
+/// (`src/net/`) marshals it onto connection write queues; the engine's
+/// `std::future<Response>` submit overloads are adapters that fulfil a
+/// promise from such a callback.
 ///
 /// Deadlines are *semantic* time and therefore run on the engine's injected
 /// `util::Clock` (`EngineConfig::clock`): microsecond instants compared
@@ -83,8 +81,7 @@ struct Response {
 /// worker).
 using CompletionCallback = std::function<void(const Response&)>;
 
-/// One in-flight membership query.  Move-only (owns the promise side of the
-/// submitter's future, or the completion callback).
+/// One in-flight membership query.
 struct Request {
   /// Deadline sentinel: never expires.
   static constexpr std::uint64_t kNoDeadline = UINT64_MAX;
@@ -95,8 +92,6 @@ struct Request {
   /// which the request is shed with kDeadlineExceeded; `kNoDeadline` means
   /// no deadline.
   std::uint64_t deadline_us = kNoDeadline;
-  std::promise<Response> promise;
-  /// When set, completion invokes this instead of fulfilling the promise.
   CompletionCallback callback;
 
   [[nodiscard]] bool expired(std::uint64_t now_us) const noexcept {

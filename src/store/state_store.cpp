@@ -93,8 +93,7 @@ std::string StateStore::snapshot_path(const std::string& id) const {
 
 std::shared_ptr<const core::LcaKpRun> StateStore::get(const std::string& id,
                                                       const core::LcaKp& lca,
-                                                      std::uint64_t tape_seed,
-                                                      std::uint64_t epoch_id) {
+                                                      std::uint64_t tape_seed) {
   if (!valid_id(id)) {
     throw std::invalid_argument(
         "StateStore: instance id must be non-empty [A-Za-z0-9._-]: '" + id +
@@ -134,7 +133,7 @@ std::shared_ptr<const core::LcaKpRun> StateStore::get(const std::string& id,
   // never blocks hits on other (warm) tenants.
   std::shared_ptr<const core::LcaKpRun> run;
   try {
-    run = hydrate(id, lca, tape_seed, epoch_id);
+    run = hydrate(id, lca, tape_seed);
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -150,10 +149,7 @@ std::shared_ptr<const core::LcaKpRun> StateStore::get(const std::string& id,
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // An invalidate() that raced this hydration wins: the waiters get the
-    // result they were promised, but the LRU must not resurrect an entry
-    // the caller already declared dead (e.g. across an epoch advance).
-    if (!flight->invalidated) insert_and_evict(id, run);
+    insert_and_evict(id, run);
     inflight_.erase(id);
   }
   {
@@ -166,9 +162,8 @@ std::shared_ptr<const core::LcaKpRun> StateStore::get(const std::string& id,
 }
 
 std::shared_ptr<const core::LcaKpRun> StateStore::hydrate(
-    const std::string& id, const core::LcaKp& lca, std::uint64_t tape_seed,
-    std::uint64_t epoch_id) {
-  const SnapshotFingerprint expected = fingerprint_of(lca, tape_seed, epoch_id);
+    const std::string& id, const core::LcaKp& lca, std::uint64_t tape_seed) {
+  const SnapshotFingerprint expected = fingerprint_of(lca, tape_seed);
   const bool persist = !config_.snapshot_dir.empty();
   std::error_code ec;
   // A missing file is the normal cold-start path, not a rejection; only an
@@ -261,26 +256,6 @@ bool StateStore::contains(const std::string& id) const {
 std::size_t StateStore::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return by_id_.size();
-}
-
-std::vector<std::string> StateStore::warm_ids() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> ids;
-  ids.reserve(lru_.size());
-  for (const auto& entry : lru_) ids.push_back(entry.id);
-  return ids;
-}
-
-void StateStore::invalidate(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto it = by_id_.find(id); it != by_id_.end()) {
-    lru_.erase(it->second);
-    by_id_.erase(it);
-    entries_->set(static_cast<double>(by_id_.size()));
-  }
-  if (const auto fit = inflight_.find(id); fit != inflight_.end()) {
-    fit->second->invalidated = true;
-  }
 }
 
 StateStoreStats StateStore::stats() const {

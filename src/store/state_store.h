@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/lca_kp.h"
 #include "metrics/metrics.h"
@@ -85,29 +84,14 @@ class StateStore {
   /// stale or foreign snapshot under this id is rejected and re-warmed,
   /// never served.  Throws only what the tenant's oracle throws (snapshot
   /// failures fall back to live warm-up); `id` must be non-empty and use
-  /// only [A-Za-z0-9._-] (it names the snapshot file).  `epoch_id` versions
-  /// the binding for dynamic instances (src/dyn): the fingerprint embeds it,
-  /// so after an epoch advance the caller's `invalidate(id)` + next `get`
-  /// with the new epoch rejects the previous epoch's snapshot as a
-  /// SnapshotMismatch and re-persists the new one.
+  /// only [A-Za-z0-9._-] (it names the snapshot file).
   [[nodiscard]] std::shared_ptr<const core::LcaKpRun> get(
-      const std::string& id, const core::LcaKp& lca, std::uint64_t tape_seed,
-      std::uint64_t epoch_id = 0);
+      const std::string& id, const core::LcaKp& lca, std::uint64_t tape_seed);
 
   /// Whether `id` is currently warm in memory (does not touch LRU order).
   [[nodiscard]] bool contains(const std::string& id) const;
   /// Warm states currently in memory.
   [[nodiscard]] std::size_t size() const;
-  /// Ids of the warm states currently in memory, most recently used first
-  /// (does not touch LRU order).  The network front-end's runbook surface:
-  /// `lcaknap serve --listen` reports it per tenant sweep.
-  [[nodiscard]] std::vector<std::string> warm_ids() const;
-  /// Drops `id` from memory (its on-disk snapshot is untouched).  A
-  /// hydration in flight for `id` is marked invalidated: its waiters still
-  /// receive the result they asked for, but the store does not retain it —
-  /// the single-flight machinery must not resurrect a stale entry after the
-  /// caller has declared it dead (epoch advance relies on this).
-  void invalidate(const std::string& id);
 
   [[nodiscard]] StateStoreStats stats() const;
   [[nodiscard]] const StateStoreConfig& config() const noexcept {
@@ -123,10 +107,6 @@ class StateStore {
     bool done = false;
     std::shared_ptr<const core::LcaKpRun> result;
     std::exception_ptr error;
-    /// Set by invalidate() while this hydration is still in flight; guarded
-    /// by the *store* mutex_ (not `mutex` above).  The owner checks it under
-    /// mutex_ before inserting into the LRU.
-    bool invalidated = false;
   };
   struct Entry {
     std::string id;
@@ -135,8 +115,7 @@ class StateStore {
 
   /// The miss path, run outside `mutex_` by exactly one caller per cold id.
   [[nodiscard]] std::shared_ptr<const core::LcaKpRun> hydrate(
-      const std::string& id, const core::LcaKp& lca, std::uint64_t tape_seed,
-      std::uint64_t epoch_id);
+      const std::string& id, const core::LcaKp& lca, std::uint64_t tape_seed);
   void insert_and_evict(const std::string& id,
                         std::shared_ptr<const core::LcaKpRun> run);
   void count_rejection(const SnapshotError& error);

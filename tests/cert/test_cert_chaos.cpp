@@ -16,8 +16,9 @@
 /// wrong-but-well-formed and always violates a free-metadata invariant —
 /// exactly the invariants `fault::VerifyingAccess` checks online and the
 /// offline verifier mirrors.  So if a corrupted witness ever leaked into a
-/// certificate record, `verify-log` must reject it as kWitnessInvariant, for
-/// 100% of the corruptions the online guard would have flagged.
+/// certificate record, the offline audit must reject it as
+/// kWitnessInvariant, for 100% of the corruptions the online guard would
+/// have flagged.
 
 namespace lcaknap::cert {
 namespace {

@@ -10,6 +10,7 @@
 #include "core/lca_kp.h"
 #include "knapsack/generators.h"
 #include "oracle/access.h"
+#include "serve/request.h"
 
 /// Counting-allocator pin for the allocation-lean hot path: once the warm-up
 /// has produced the membership rule, answering a query (`answer_from` =
@@ -116,6 +117,23 @@ TEST(QueryAllocation, SteadyStateBatchPathAllocatesNothing) {
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "BatchEval::evaluate allocated on the hot path";
+}
+
+TEST(QueryAllocation, CallbackPathRequestAllocatesNothing) {
+  // The engine builds one serve::Request per submit and one per dispatcher
+  // poll.  It carries only its completion callback, and a callback that
+  // captures one pointer fits std::function's small buffer.
+  int completed = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  {
+    serve::Request request;
+    request.item = 3;
+    request.callback = [&completed](const serve::Response&) { ++completed; };
+    request.callback(serve::Response{});
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "a callback-path request allocated";
+  EXPECT_EQ(completed, 1);
 }
 
 TEST(QueryAllocation, CounterSeesAllocations) {

@@ -79,8 +79,7 @@ TEST(DocsLint, EveryExportedMetricFamilyHasACatalogueRow) {
   const auto inst =
       knapsack::make_family(knapsack::Family::kUncorrelated, 300, 4);
   const oracle::MaterializedAccess storage(inst);
-  const oracle::InstrumentedAccess instrumented(
-      storage, registry, oracle::LatencyModel{});  // + oracle_access_latency_us
+  const oracle::InstrumentedAccess instrumented(storage, registry);
   const fault::ChaosAccess flaky(instrumented,
                                  fault::parse_fault_plan("flaky:0:fail=0.01", 0xF1A),
                                  util::system_clock(), /*armed=*/true, registry);
@@ -131,6 +130,7 @@ TEST(DocsLint, EveryExportedMetricFamilyHasACatalogueRow) {
     tenant.lca = &lca;
     tenant.engine.workers = 1;
     router.register_tenant("lint", tenant);
+    router.warm_all();
     net::Server server(router, net::ServerConfig{}, registry);
     net::Client client("127.0.0.1", server.port());
     net::RequestFrame frame;

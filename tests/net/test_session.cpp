@@ -17,8 +17,9 @@
 #include "store/state_store.h"
 
 /// \file test_session.cpp
-/// The tenant-routing layer: hydrate-on-first-touch, per-tenant admission
-/// quotas, typed unknown-tenant rejection, and the wire-level conservation
+/// The tenant-routing layer: warm_all() as the one way a tenant comes up,
+/// one source of warm state per tenant, per-tenant admission quotas, typed
+/// unknown-tenant and not-warm rejections, and the wire-level conservation
 /// law (routed == completed, every status accounted) that the server and
 /// the E20 bench build on.
 
@@ -81,7 +82,7 @@ const oracle::MaterializedAccess* SessionTest::access_b_ = nullptr;
 const core::LcaKp* SessionTest::lca_a_ = nullptr;
 const core::LcaKp* SessionTest::lca_b_ = nullptr;
 
-/// Collects responses from any router/engine/hydration thread.
+/// Collects responses from the router or any engine thread.
 class Collector {
  public:
   std::function<void(const ResponseFrame&)> callback() {
@@ -112,19 +113,37 @@ RequestFrame frame_for(const std::string& tenant, std::uint64_t id,
   return frame;
 }
 
-TEST_F(SessionTest, HydratesOnFirstTouchAndAnswersCorrectly) {
+TEST_F(SessionTest, ColdTenantIsAnsweredErrorUntilWarmAll) {
   metrics::Registry registry;
   store::StateStore store({.capacity = 4}, registry);
   TenantRouter router(store, registry);
   router.register_tenant("a", tenant_config(lca_a_));
   EXPECT_EQ(router.engine("a"), nullptr) << "registration must stay cold";
 
+  // Before warm_all(): every frame is answered kError at once, on this
+  // thread, and traffic starts no warm-up.
   constexpr std::size_t kQueries = 200;
-  Collector collector;
+  Collector cold;
   for (std::size_t q = 0; q < kQueries; ++q) {
-    router.route(frame_for("a", q, q % 500), collector.callback());
+    router.route(frame_for("a", q, q % 500), cold.callback());
   }
-  const auto responses = collector.wait_for(kQueries);
+  EXPECT_EQ(router.stats().completed, kQueries) << "answered at once";
+  for (const auto& response : cold.wait_for(kQueries)) {
+    EXPECT_EQ(response.status, WireStatus::kError);
+  }
+  EXPECT_EQ(router.stats().hydrations, 0u);
+  EXPECT_EQ(store.stats().misses, 0u);
+  EXPECT_EQ(router.readiness("a"), TenantReadiness::kCold);
+  EXPECT_EQ(router.engine("a"), nullptr);
+
+  // After warm_all(): the same frames are served, each answer equal to
+  // answer_from on the engine's run.
+  router.warm_all();
+  Collector warm;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    router.route(frame_for("a", q, q % 500), warm.callback());
+  }
+  const auto responses = warm.wait_for(kQueries);
   router.drain();
 
   ASSERT_NE(router.engine("a"), nullptr);
@@ -139,10 +158,45 @@ TEST_F(SessionTest, HydratesOnFirstTouchAndAnswersCorrectly) {
               lca_a_->answer_from(run, response.request_id % 500));
   }
   const auto stats = router.stats();
-  EXPECT_EQ(stats.routed, kQueries);
-  EXPECT_EQ(stats.completed, kQueries);
-  EXPECT_EQ(stats.hydrations, 1u) << "single-flight hydration";
+  EXPECT_EQ(stats.routed, 2 * kQueries);
+  EXPECT_EQ(stats.completed, 2 * kQueries);
+  EXPECT_EQ(stats.hydrations, 1u);
   EXPECT_EQ(store.stats().live_warmups, 1u);
+}
+
+TEST_F(SessionTest, RegisteredWarmStateIsServedWithoutTheStore) {
+  // One source of warm state per tenant: a run registered with the tenant
+  // (an epoched tenant's epoch 0) is the run its engine serves, and the
+  // store is never asked.
+  metrics::Registry registry;
+  store::StateStore store({.capacity = 4}, registry);
+  TenantRouter router(store, registry);
+  auto config = tenant_config(lca_a_);
+  const auto registered = std::make_shared<const core::LcaKpRun>(
+      lca_a_->run_warmup(config.tape_seed, 1));
+  config.engine.warm_state = registered;
+  router.register_tenant("a", config);
+  router.warm_all();
+
+  ASSERT_NE(router.engine("a"), nullptr);
+  const auto& run = router.engine("a")->run();
+  EXPECT_EQ(&run, registered.get()) << "the registered run itself";
+  EXPECT_EQ(core::run_digest(run), core::run_digest(*registered));
+  EXPECT_EQ(store.stats().misses, 0u);
+  EXPECT_EQ(store.stats().hits, 0u);
+  EXPECT_EQ(store.size(), 0u);
+
+  constexpr std::size_t kQueries = 100;
+  Collector collector;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    router.route(frame_for("a", q, q), collector.callback());
+  }
+  for (const auto& response : collector.wait_for(kQueries)) {
+    EXPECT_EQ(response.status, WireStatus::kOk);
+    EXPECT_EQ(response.answer,
+              lca_a_->answer_from(*registered, response.request_id));
+  }
+  router.drain();
 }
 
 TEST_F(SessionTest, UnknownTenantIsATypedInstantRejection) {
@@ -239,6 +293,7 @@ TEST_F(SessionTest, ConservationHoldsAcrossMixedTraffic) {
   store::StateStore store({.capacity = 4}, registry);
   TenantRouter router(store, registry);
   router.register_tenant("a", tenant_config(lca_a_));
+  router.warm_all();
   constexpr std::size_t kQueries = 3'000;
   std::atomic<std::uint64_t> fired{0};
   std::array<std::atomic<std::uint64_t>, 8> by_status{};

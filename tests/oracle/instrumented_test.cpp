@@ -68,39 +68,6 @@ TEST(InstrumentedAccess, IsTransparentToResults) {
   }
 }
 
-TEST(InstrumentedAccess, LatencyModelFeedsHistogram) {
-  const auto inst = small_instance();
-  metrics::Registry registry;
-  const MaterializedAccess storage(inst);
-  const InstrumentedAccess access(storage, registry,
-                                  LatencyModel{/*fixed_us=*/50.0,
-                                               /*exp_mean_us=*/20.0},
-                                  /*latency_seed=*/3);
-  recorded_call_sequence(access, 6);
-
-  const auto snap = registry.snapshot();
-  bool found = false;
-  for (const auto& h : snap.histograms) {
-    if (h.name != "oracle_access_latency_us") continue;
-    found = true;
-    EXPECT_EQ(h.count, access.access_count());
-    // Every draw pays at least the fixed cost.
-    EXPECT_GE(h.sum, 50.0 * static_cast<double>(h.count));
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(InstrumentedAccess, WithoutModelRegistersNoLatencyHistogram) {
-  const auto inst = small_instance();
-  metrics::Registry registry;
-  const MaterializedAccess storage(inst);
-  const InstrumentedAccess access(storage, registry);
-  (void)access.query(0);
-  for (const auto& h : registry.snapshot().histograms) {
-    EXPECT_NE(h.name, "oracle_access_latency_us");
-  }
-}
-
 TEST(LatencyAccess, AccruesSimulatedTime) {
   const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 20, 7);
   const MaterializedAccess inner(inst);

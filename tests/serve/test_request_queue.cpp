@@ -29,13 +29,15 @@ TEST(RequestQueue, BoundedAdmission) {
   EXPECT_TRUE(queue.try_push(make_request(0)));
   EXPECT_TRUE(queue.try_push(make_request(1)));
   // Full: admission control refuses, the caller keeps the request.
+  Outcome seen = Outcome::kOk;
   Request overflow = make_request(2);
+  overflow.callback = [&seen](const Response& r) { seen = r.outcome; };
   EXPECT_FALSE(queue.try_push(std::move(overflow)));
   EXPECT_EQ(queue.depth(), 2u);
   // The rejected request is untouched and still completable.
-  auto future = overflow.promise.get_future();
-  overflow.promise.set_value(Response{Outcome::kOverloaded, false, false});
-  EXPECT_EQ(future.get().outcome, Outcome::kOverloaded);
+  ASSERT_TRUE(overflow.callback);
+  overflow.callback(Response{Outcome::kOverloaded, false, false});
+  EXPECT_EQ(seen, Outcome::kOverloaded);
 }
 
 TEST(RequestQueue, PopsInFifoOrder) {
@@ -114,7 +116,15 @@ TEST(RequestQueue, ConcurrentProducersConserveRequests) {
   for (int t = 0; t < 2; ++t) {
     consumers.emplace_back([&] {
       Request out;
-      while (queue.pop_for(out, 1ms)) popped.fetch_add(1);
+      // Drain until the queue is closed and empty: a pause between two
+      // pushes longer than the 1 ms wait is not the end of the stream.
+      while (true) {
+        if (queue.pop_for(out, 1ms)) {
+          popped.fetch_add(1);
+        } else if (queue.closed() && queue.depth() == 0) {
+          break;
+        }
+      }
     });
   }
   for (auto& p : producers) p.join();

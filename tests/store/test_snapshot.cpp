@@ -140,6 +140,10 @@ TEST_F(SnapshotTest, FingerprintMismatchIsRejected) {
   // Different warm-up tape.
   const auto fp_tape = fingerprint_of(lca, 8);
   EXPECT_THROW((void)decode_snapshot(bytes, &fp_tape), SnapshotMismatch);
+  // Different epoch of the same instance (src/dyn): an epoch-0 snapshot
+  // never serves epoch 1.
+  const auto fp_epoch = fingerprint_of(lca, 7, /*epoch_id=*/1);
+  EXPECT_THROW((void)decode_snapshot(bytes, &fp_epoch), SnapshotMismatch);
   // Different instance (n differs).
   const auto small = knapsack::make_family(knapsack::Family::kUncorrelated, 4'999, 3);
   const oracle::MaterializedAccess small_access(small);

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,10 +171,6 @@ TEST_F(StateStoreTest, LruEvictionAccounting) {
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.hits, 1u);
-
-  store.invalidate("a");
-  EXPECT_FALSE(store.contains("a"));
-  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST_F(StateStoreTest, InvalidIdsAndConfigRejected) {
@@ -347,7 +341,7 @@ TEST(StateStoreConcurrency, HydrationUnderEvictionChurnServesOnlyGoodState) {
 }
 
 TEST(StateStoreConcurrency, SnapshotReplacedMidReadIsRejectedOrCleanNeverTorn) {
-  // The atomic-rename discipline (writer: temp + fsync + rename; also
+  // The atomic-rename discipline (writer: temp + rename; also
   // fleet::ship_snapshot) means a reader racing a replacement sees the
   // complete old file or the complete new file.  A writer thread flips the
   // snapshot between a valid copy and a corrupted copy while readers
@@ -422,149 +416,6 @@ TEST(StateStoreConcurrency, SnapshotReplacedMidReadIsRejectedOrCleanNeverTorn) {
   writer.join();
   EXPECT_EQ(hydrated + rejected, 12u);
   std::filesystem::remove_all(dir);
-}
-
-// --- epoch-aware invalidation (ISSUE 10 satellites) ------------------------
-
-/// Wraps a MaterializedAccess and parks the first weighted sample until the
-/// test releases it — a warm-up frozen mid-hydration, so invalidate() can be
-/// aimed at an in-flight Flight deterministically.
-class GatedAccess final : public oracle::InstanceAccess {
- public:
-  explicit GatedAccess(const oracle::MaterializedAccess& inner)
-      : inner_(inner) {}
-
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return inner_.size();
-  }
-  [[nodiscard]] std::int64_t capacity() const noexcept override {
-    return inner_.capacity();
-  }
-  [[nodiscard]] std::int64_t total_profit() const noexcept override {
-    return inner_.total_profit();
-  }
-  [[nodiscard]] std::int64_t total_weight() const noexcept override {
-    return inner_.total_weight();
-  }
-
-  void wait_until_sampling() {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return entered_; });
-  }
-  void open_gate() {
-    {
-      std::lock_guard lock(mutex_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-
- protected:
-  [[nodiscard]] knapsack::Item do_query(std::size_t i) const override {
-    return inner_.query(i);
-  }
-  [[nodiscard]] oracle::WeightedDraw do_sample(
-      util::Xoshiro256& rng) const override {
-    {
-      std::unique_lock lock(mutex_);
-      entered_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return open_; });
-    }
-    return inner_.weighted_sample(rng);
-  }
-
- private:
-  const oracle::MaterializedAccess& inner_;
-  mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
-  mutable bool entered_ = false;
-  mutable bool open_ = false;
-};
-
-TEST_F(StateStoreTest, InvalidateDuringHydrationDoesNotResurrectTheEntry) {
-  const auto inst =
-      knapsack::make_family(knapsack::Family::kUncorrelated, 1'000, 3);
-  const oracle::MaterializedAccess materialized(inst);
-  GatedAccess gated(materialized);
-  const core::LcaKp lca(gated, tenant_config());
-
-  metrics::Registry registry;
-  StateStore store({.capacity = 4}, registry);  // memory-only
-
-  std::shared_ptr<const core::LcaKpRun> hydrated;
-  std::thread warmer([&] { hydrated = store.get("tenant-a", lca, 7); });
-  gated.wait_until_sampling();
-  // The id is declared dead while its hydration is still in flight (exactly
-  // what an epoch advance does).  The flight's waiters still get their
-  // result, but the store must not retain it.
-  store.invalidate("tenant-a");
-  gated.open_gate();
-  warmer.join();
-
-  ASSERT_NE(hydrated, nullptr);
-  EXPECT_FALSE(store.contains("tenant-a"))
-      << "single-flight resurrected an invalidated entry";
-  EXPECT_EQ(store.size(), 0u);
-
-  // The next get re-hydrates from scratch and is retained again.
-  const auto again = store.get("tenant-a", lca, 7);
-  EXPECT_EQ(core::run_digest(*again), core::run_digest(*hydrated));
-  EXPECT_TRUE(store.contains("tenant-a"));
-  const auto stats = store.stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.live_warmups, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-}
-
-TEST_F(StateStoreTest, InvalidateThenMissRepersistsTheNewEpochsSnapshot) {
-  const auto inst =
-      knapsack::make_family(knapsack::Family::kUncorrelated, 4'000, 3);
-  const oracle::MaterializedAccess access(inst);
-  const core::LcaKp lca(access, tenant_config());
-
-  metrics::Registry registry;
-  StateStore store({.capacity = 4, .snapshot_dir = dir_.string()}, registry);
-
-  // Epoch 0 warms live and persists an epoch-0-fingerprinted snapshot.
-  const auto epoch0 = store.get("tenant-a", lca, 7, /*epoch_id=*/0);
-  EXPECT_EQ(store.stats().snapshots_saved, 1u);
-
-  // The epoch advances: the caller invalidates and re-gets under epoch 1.
-  // The on-disk snapshot still pins epoch 0, so it must be rejected as a
-  // fingerprint mismatch — never served — and the live warm-up's result
-  // re-persisted under the new epoch's fingerprint.
-  store.invalidate("tenant-a");
-  const auto epoch1 = store.get("tenant-a", lca, 7, /*epoch_id=*/1);
-  {
-    const auto stats = store.stats();
-    EXPECT_EQ(stats.rejected_mismatch, 1u);
-    EXPECT_EQ(stats.live_warmups, 2u);
-    EXPECT_EQ(stats.snapshot_hydrations, 0u);
-    EXPECT_EQ(stats.snapshots_saved, 2u);
-  }
-  // Same lca + tape: the warm state itself is epoch-independent here — only
-  // the fingerprint binding changed.
-  EXPECT_EQ(core::run_digest(*epoch0), core::run_digest(*epoch1));
-
-  // A fresh store (new process) now rehydrates from the epoch-1 snapshot…
-  {
-    metrics::Registry fresh_registry;
-    StateStore fresh({.capacity = 4, .snapshot_dir = dir_.string()},
-                     fresh_registry);
-    (void)fresh.get("tenant-a", lca, 7, /*epoch_id=*/1);
-    EXPECT_EQ(fresh.stats().snapshot_hydrations, 1u);
-    EXPECT_EQ(fresh.stats().live_warmups, 0u);
-  }
-  // …while a stale epoch-0 reader rejects it and re-warms.
-  {
-    metrics::Registry stale_registry;
-    StateStore stale({.capacity = 4, .snapshot_dir = dir_.string()},
-                     stale_registry);
-    (void)stale.get("tenant-a", lca, 7, /*epoch_id=*/0);
-    EXPECT_EQ(stale.stats().rejected_mismatch, 1u);
-    EXPECT_EQ(stale.stats().live_warmups, 1u);
-  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 /// \file args.h
@@ -17,7 +18,9 @@
 ///
 /// Each command declares the flags it accepts; any other flag is a usage
 /// error before any work starts, so a misspelled flag never runs silently
-/// on a default.  Values are given as `--flag value` or `--flag=value`;
+/// on a default.  The same holds for a flag that acts only together with
+/// another, and for two flags that do not combine: each command declares
+/// those pairs beside its flags.  Values are given as `--flag value` or `--flag=value`;
 /// switches take no value.  An integer is decimal or `0x` hex, a double is
 /// anything `std::from_chars` reads, and in both cases the whole token must
 /// parse (no sign on integers, no trailing junk).  Every error throws
@@ -67,8 +70,11 @@ namespace lcaknap::tools {
 
 /// The flags one command accepts.
 struct FlagSpec {
+  using Pair = std::pair<std::string, std::string>;
   std::vector<std::string> values;    ///< flags that take one value
   std::vector<std::string> switches;  ///< flags that take none
+  std::vector<Pair> needs = {};      ///< {a, b}: --a acts only with --b
+  std::vector<Pair> conflicts = {};  ///< {a, b}: --a and --b do not combine
 };
 
 class Args {
@@ -101,6 +107,17 @@ class Args {
         values_[key] = *value;
       } else {
         throw std::invalid_argument("unknown flag --" + key);
+      }
+    }
+    for (const auto& [flag, other] : spec.needs) {
+      if (has(flag) && !has(other)) {
+        throw std::invalid_argument("--" + flag + " requires --" + other);
+      }
+    }
+    for (const auto& [flag, other] : spec.conflicts) {
+      if (has(flag) && has(other)) {
+        throw std::invalid_argument("--" + flag + " does not combine with --" +
+                                    other);
       }
     }
   }

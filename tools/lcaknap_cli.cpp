@@ -48,19 +48,17 @@
 //       (docs/CERTIFICATES.md).  With --updates, the instance is epoched
 //       (docs/DYNAMIC.md): the trace splits into one segment per epoch-log
 //       batch plus one, and each batch applies between two segments.
-//   verify-log --log <FILE|DIR> --snap PATH [--sample K]
-//       Offline certificate audit: replay a certificate log against the
-//       warm-state snapshot it names and re-derive every answer with ZERO
-//       oracle access.  --sample K semantically re-checks every Kth record
-//       (structure/CRC always checked).  Exit 2 on any rejection, with the
-//       typed reason breakdown printed (docs/CERTIFICATES.md).
+//
+// Certificate logs written by --certify are audited offline by the separate
+// lcaknap_verify_log tool, which links no oracle code (docs/CERTIFICATES.md).
 //
 // Global flag: --metrics=prom|json dumps the metrics registry (Prometheus
 // text exposition or JSON lines) to stdout when the command finishes — see
 // docs/OBSERVABILITY.md for the family catalogue.
 //
-// Each command accepts only its own flags (tools/args.h): an unknown flag
-// or a malformed number is a usage error.
+// Each command accepts only its own flags (tools/args.h): an unknown flag,
+// a malformed number, a flag given without the flag it acts with, or two
+// flags that do not combine is a usage error.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
 
@@ -80,8 +78,6 @@
 #include <thread>
 #include <vector>
 
-#include "cert/cert_log.h"
-#include "cert/verifier.h"
 #include "core/consistency.h"
 #include "dyn/epoch_state.h"
 #include "dyn/update.h"
@@ -231,8 +227,6 @@ serve::EngineConfig engine_config_from_flags(const Args& args, bool replay) {
     config.cert_dir = args.require("cert-dir");
     std::filesystem::create_directories(config.cert_dir);
     config.cert_segment_records = args.get_u64("cert-segment-records", 0);
-  } else if (args.has("cert-dir")) {
-    throw std::invalid_argument("--cert-dir requires --certify");
   }
   return config;
 }
@@ -269,6 +263,10 @@ int cmd_serve(const Args& args) {
     specs.emplace_back(args.get("instance-id").value_or("default"),
                        args.require("in"));
   }
+  const auto updates = args.get("updates");
+  if (updates && specs.size() != 1) {
+    throw std::invalid_argument("--updates requires exactly one tenant");
+  }
 
   const auto lca_config = lca_config_from_flags(args);
   const auto engine_config = engine_config_from_flags(args, /*replay=*/false);
@@ -285,11 +283,6 @@ int cmd_serve(const Args& args) {
     std::unique_ptr<core::LcaKp> lca;
   };
   const auto chaos_tenant = args.get("chaos-tenant");
-  const auto chaos_plan = args.get("chaos-plan");
-  if (chaos_tenant.has_value() != chaos_plan.has_value()) {
-    throw std::invalid_argument(
-        "--chaos-tenant and --chaos-plan go together");
-  }
   std::vector<std::unique_ptr<TenantStack>> stacks;
   for (const auto& [id, path] : specs) {
     auto stack = std::make_unique<TenantStack>(load_instance(path));
@@ -302,7 +295,8 @@ int cmd_serve(const Args& args) {
       // controlled environment); armed right before accept.
       stack->chaos.emplace(*top,
                            fault::parse_fault_plan(
-                               *chaos_plan, args.get_u64("chaos-seed", 0xC405)),
+                               args.require("chaos-plan"),
+                               args.get_u64("chaos-seed", 0xC405)),
                            util::system_clock(), /*armed=*/false);
       top = &*stack->chaos;
     }
@@ -310,9 +304,25 @@ int cmd_serve(const Args& args) {
     stacks.push_back(std::move(stack));
   }
 
+  // Live updates (docs/DYNAMIC.md): the tenant's EpochedState warms epoch 0
+  // once, recording the trace its delta advances replay, and that run is
+  // the tenant's warm state — the store never sees it.
+  std::unique_ptr<dyn::EpochedState> dyn_state;
+  std::vector<dyn::UpdateBatch> update_log;
+  if (updates) {
+    update_log = dyn::load_epoch_log(*updates);
+    dyn::EpochConfig dyn_config;
+    dyn_config.lca = lca_config;
+    dyn_config.tape_seed = tape_seed;
+    dyn_config.warmup_threads = engine_config.warmup_threads;
+    dyn_state = std::make_unique<dyn::EpochedState>(stacks[0]->inst,
+                                                    dyn_config, registry);
+  }
+
+  // The router keeps every tenant's engine, and with it the warm run, for
+  // the life of the process, so the store holds one entry per tenant.
   store::StateStoreConfig store_config;
-  store_config.capacity = static_cast<std::size_t>(
-      args.get_u64("store-capacity", std::max<std::uint64_t>(8, specs.size())));
+  store_config.capacity = specs.size();
   if (const auto dir = args.get("snapshot-dir")) {
     std::filesystem::create_directories(*dir);
     store_config.snapshot_dir = *dir;
@@ -325,6 +335,9 @@ int cmd_serve(const Args& args) {
     net::TenantConfig tenant;
     tenant.lca = stacks[i]->lca.get();
     tenant.engine = engine_config;
+    if (dyn_state != nullptr) {
+      tenant.engine.warm_state = dyn_state->current()->run;
+    }
     tenant.tape_seed = tape_seed;
     tenant.max_inflight =
         static_cast<std::size_t>(args.get_u64("tenant-inflight", 1024));
@@ -337,30 +350,31 @@ int cmd_serve(const Args& args) {
     if (stack->chaos) stack->chaos->arm();
   }
 
-  // Live updates (docs/DYNAMIC.md): an applier thread walks the epoch log,
-  // one batch per --update-interval-ms tick, advancing the tenant's
-  // EpochedState and its engine while the server keeps answering.  Requests
-  // in flight across an advance legally finish under the old epoch; the
-  // response frame's epoch_id says which epoch actually answered.
-  std::unique_ptr<dyn::EpochedState> dyn_state;
-  std::vector<dyn::UpdateBatch> update_log;
+  net::ServerConfig server_config;
+  server_config.port = tools::parse_port("listen", args.require("listen"));
+  server_config.max_connections =
+      static_cast<std::size_t>(args.get_u64("max-conns", 256));
+  server_config.max_inflight_per_connection =
+      static_cast<std::size_t>(args.get_u64("conn-inflight", 128));
+  server_config.allow_shutdown = args.has("allow-shutdown");
+  // Echoed on every response frame; the fleet orchestrator gives each
+  // replica a distinct id so the checker can attribute answers.
+  server_config.replica_id = args.get_u64("replica-id", 0);
+  net::Server server(router, server_config, registry);
+
+  // The machine-readable contract the loadgen and the two-process tests
+  // parse; announce only once everything above is warm.
+  std::cout << "listening on 127.0.0.1:" << server.port() << std::endl;
+
+  // The applier thread walks the epoch log, one batch per
+  // --update-interval-ms tick, advancing the EpochedState and the tenant's
+  // engine while the server keeps answering.  Requests in flight across an
+  // advance legally finish under the old epoch; the response frame's
+  // epoch_id says which epoch actually answered.  It starts once the server
+  // is up, so no throw above can leave it unjoined.
   std::atomic<bool> applier_stop{false};
   std::thread applier;
-  if (const auto updates = args.get("updates")) {
-    if (specs.size() != 1) {
-      throw std::invalid_argument("--updates requires exactly one tenant");
-    }
-    if (chaos_tenant) {
-      throw std::invalid_argument("--updates does not combine with "
-                                  "--chaos-tenant");
-    }
-    update_log = dyn::load_epoch_log(*updates);
-    dyn::EpochConfig dyn_config;
-    dyn_config.lca = lca_config;
-    dyn_config.tape_seed = tape_seed;
-    dyn_config.warmup_threads = engine_config.warmup_threads;
-    dyn_state = std::make_unique<dyn::EpochedState>(
-        stacks[0]->inst, dyn_config, registry);
+  if (dyn_state != nullptr) {
     const auto interval =
         std::chrono::milliseconds(args.get_u64("update-interval-ms", 1'000));
     const std::string tenant_id = specs[0].first;
@@ -392,22 +406,6 @@ int cmd_serve(const Args& args) {
     });
   }
 
-  net::ServerConfig server_config;
-  server_config.port = tools::parse_port("listen", args.require("listen"));
-  server_config.max_connections =
-      static_cast<std::size_t>(args.get_u64("max-conns", 256));
-  server_config.max_inflight_per_connection =
-      static_cast<std::size_t>(args.get_u64("conn-inflight", 128));
-  server_config.allow_shutdown = args.has("allow-shutdown");
-  // Echoed on every response frame; the fleet orchestrator gives each
-  // replica a distinct id so the checker can attribute answers.
-  server_config.replica_id = args.get_u64("replica-id", 0);
-  net::Server server(router, server_config, registry);
-
-  // The machine-readable contract the loadgen and the two-process tests
-  // parse; announce only once everything above is warm.
-  std::cout << "listening on 127.0.0.1:" << server.port() << std::endl;
-
   server.wait_shutdown();
   server.stop();
   applier_stop.store(true, std::memory_order_relaxed);
@@ -420,7 +418,8 @@ int cmd_serve(const Args& args) {
   table.row().cell("tenants").cell(specs.size());
   {
     std::string warm;
-    for (const auto& id : state_store.warm_ids()) {
+    for (const auto& [id, path] : specs) {
+      if (router.readiness(id) != net::TenantReadiness::kWarm) continue;
       if (!warm.empty()) warm += ", ";
       warm += id;
     }
@@ -574,19 +573,8 @@ core::WorkloadConfig::Shape parse_shape(const std::string& name) {
 /// serve-engine's trace: the listed items (--items), every item (--all), or
 /// a generated workload over `n` items.
 std::vector<std::size_t> replay_trace(const Args& args, std::size_t n) {
-  if (args.has("items") && args.has("all")) {
-    throw std::invalid_argument("--items and --all are alternatives");
-  }
-  if (args.has("items") || args.has("all")) {
-    for (const char* generator : {"shape", "queries", "zipf-s", "hot-frac",
-                                  "hot-items", "workload-seed"}) {
-      if (args.has(generator)) {
-        throw std::invalid_argument(std::string("--") + generator +
-                                    " shapes a generated trace; it does not "
-                                    "combine with --items or --all");
-      }
-    }
-    if (args.has("items")) return parse_items(args.require("items"), n);
+  if (args.has("items")) return parse_items(args.require("items"), n);
+  if (args.has("all")) {
     std::vector<std::size_t> all(n);
     std::iota(all.begin(), all.end(), std::size_t{0});
     return all;
@@ -612,17 +600,6 @@ std::vector<std::size_t> replay_trace(const Args& args, std::size_t n) {
 /// epoch that was never installed, or the cache paranoia audit disagrees.
 int cmd_serve_engine(const Args& args) {
   const bool epoched = args.has("updates");
-  if (epoched) {
-    // An epoched instance has no single oracle stack to wrap, snapshot or
-    // certify against.
-    for (const char* conflict : {"chaos-plan", "breaker", "snapshot-dir", "certify"}) {
-      if (args.has(conflict)) {
-        throw std::invalid_argument(std::string("--updates does not combine "
-                                                "with --") +
-                                    conflict);
-      }
-    }
-  }
   auto& registry = metrics::global_registry();
   const auto inst = load_instance(args.require("in"));
   // Draw indices from the base size: deletes tombstone in place (indices
@@ -856,49 +833,6 @@ int cmd_serve_engine(const Args& args) {
   return 0;
 }
 
-int cmd_verify_log(const Args& args) {
-  const std::string log_path = args.require("log");
-  const std::string snap_path = args.require("snap");
-  cert::VerifierConfig verifier_config;
-  verifier_config.sample_every = args.get_u64("sample", 1);
-
-  // The snapshot is the only input besides the log: its fingerprint pins the
-  // instance/config/tape identity and its payload carries (L(I~), EPS).  No
-  // oracle object is ever constructed — this audit is instance-blind.
-  store::SnapshotFingerprint fingerprint;
-  const auto run = store::read_snapshot(snap_path, nullptr, &fingerprint);
-  const cert::LogVerifier verifier(fingerprint, run, verifier_config);
-  const auto report = verifier.verify_path(log_path);
-
-  util::Table table({"metric", "value"});
-  table.row().cell("segments").cell(report.segments);
-  table.row().cell("records").cell(report.records);
-  table.row().cell("semantically checked").cell(report.records_checked);
-  table.row().cell("sample rate (every Kth)").cell(
-      std::max<std::uint64_t>(1, verifier_config.sample_every));
-  table.row().cell("accepted / rejected")
-      .cell(std::to_string(report.accepted) + " / " +
-            std::to_string(report.rejected));
-  for (int r = 0; r < cert::kRejectReasonCount; ++r) {
-    if (report.by_reason[static_cast<std::size_t>(r)] == 0) continue;
-    table.row()
-        .cell(std::string("rejected: ") +
-              cert::reject_reason_name(static_cast<cert::RejectReason>(r)))
-        .cell(report.by_reason[static_cast<std::size_t>(r)]);
-  }
-  table.row().cell("throughput (records/s)").cell(
-      report.seconds > 0
-          ? static_cast<double>(report.records) / report.seconds
-          : 0.0, 0);
-  table.row().cell("oracle queries").cell(std::uint64_t{0});
-  table.row().cell("verdict").cell(report.clean() ? "CLEAN" : "REJECTED");
-  table.print(std::cout, "verify-log");
-  for (const auto& example : report.examples) {
-    std::cerr << "reject: " << example << "\n";
-  }
-  return report.clean() ? 0 : 2;
-}
-
 void usage() {
   std::cerr <<
       "usage: lcaknap_cli <command> [flags] [--metrics=prom|json]\n"
@@ -909,8 +843,7 @@ void usage() {
       "           [--workers W] [--queue-cap N] [--batch-max B] [--linger-us L]\n"
       "           [--cache-cap N] [--cache-shards S] [--deadline-us D]\n"
       "           [--warmup-threads K] [--max-conns N] [--conn-inflight N]\n"
-      "           [--tenant-inflight N] [--store-capacity N]\n"
-      "           [--snapshot-dir DIR] [--degrade]\n"
+      "           [--tenant-inflight N] [--snapshot-dir DIR] [--degrade]\n"
       "           [--chaos-tenant ID --chaos-plan SPEC] [--chaos-seed S]\n"
       "           [--allow-shutdown] [--replica-id N]\n"
       "           [--updates FILE] [--update-interval-ms M]\n"
@@ -929,9 +862,11 @@ void usage() {
       "           [--breaker] [--snapshot-dir DIR] [--instance-id ID]\n"
       "           [--certify --cert-dir DIR [--cert-segment-records N]]\n"
       "           [--updates FILE] [--verify-epochs]\n"
-      "  verify-log --log FILE|DIR --snap PATH [--sample K]\n"
       "Flags take a value as --flag V or --flag=V; integers are decimal or 0x\n"
-      "hex.  A flag the command does not take is a usage error (exit 1).\n"
+      "hex.  A flag the command does not take, a flag without the flag it\n"
+      "acts with (--cert-dir without --certify, --chaos-seed without\n"
+      "--chaos-plan, ...), and two flags that do not combine are usage\n"
+      "errors (exit 1).\n"
       "serve-engine replays a trace through the concurrent serving engine:\n"
       "the --items list (one 'item i: yes|no' line each, in order), --all\n"
       "items, or a generated workload (--shape, seeded by --workload-seed).\n"
@@ -946,10 +881,9 @@ void usage() {
       "warm-up; a live warm-up is persisted for the next process.\n"
       "--certify emits one CRC-sealed certificate record per evaluated\n"
       "answer into an atomically-rotated log under --cert-dir (rotating every\n"
-      "--cert-segment-records records); verify-log replays such a log against\n"
-      "the warm-state snapshot offline (zero oracle access), semantically\n"
-      "re-checking every Kth record (--sample), exit 2 on any rejection (see\n"
-      "docs/CERTIFICATES.md).\n"
+      "--cert-segment-records records); the lcaknap_verify_log tool replays\n"
+      "such a log against the warm-state snapshot offline (zero oracle\n"
+      "access; see docs/CERTIFICATES.md).\n"
       "--chaos-plan scripts oracle faults during the replay, e.g.\n"
       "  \"steady:200;outage:100:fail=1;brownout:150:fail=0.2,lat=100..400\"\n"
       "(durations ms, latencies us; see docs/RESILIENCE.md).\n"
@@ -970,10 +904,11 @@ void usage() {
       "advances deterministically between segments (--verify-epochs also\n"
       "proves every delta warm-up digest-equal to a fresh one, exit 2 on\n"
       "mismatch; --chaos-plan, --breaker, --snapshot-dir and --certify do\n"
-      "not combine with it); serve --listen applies one batch every\n"
-      "--update-interval-ms on a live applier thread.  Each advance takes\n"
-      "the delta warm-up when provably sound and the full re-warm-up\n"
-      "otherwise; answers carry the epoch that served them.\n"
+      "not combine with it); serve --listen warms epoch 0 once and applies\n"
+      "one batch every --update-interval-ms on a live applier thread\n"
+      "(--snapshot-dir and --chaos-tenant do not combine with it).  Each\n"
+      "advance takes the delta warm-up when provably sound and the full\n"
+      "re-warm-up otherwise; answers carry the epoch that served them.\n"
       "--metrics dumps the metric registry to stdout at exit (Prometheus\n"
       "text exposition or JSON lines); see docs/OBSERVABILITY.md.\n";
 }
@@ -987,8 +922,8 @@ const std::vector<std::string> kServingFlags = {
     "snapshot-dir", "instance-id", "chaos-plan",   "chaos-seed",
     "updates"};
 
-/// The flags `command` accepts, or nullopt for an unknown command.  Every
-/// command also takes --metrics.
+/// The flags `command` accepts and the pairs among them, or nullopt for an
+/// unknown command.  Every command also takes --metrics.
 std::optional<FlagSpec> command_flags(const std::string& command) {
   FlagSpec spec;
   if (command == "generate") {
@@ -999,15 +934,24 @@ std::optional<FlagSpec> command_flags(const std::string& command) {
     spec.values = {"in", "eps", "seed", "replicas", "queries"};
   } else if (command == "snapshot") {
     spec.values = {"in", "snap", "eps", "seed", "tape", "warmup-threads"};
-  } else if (command == "verify-log") {
-    spec.values = {"log", "snap", "sample"};
   } else if (command == "serve") {
     spec.values = kServingFlags;
     spec.values.insert(spec.values.end(),
                        {"listen", "tenants", "max-conns", "conn-inflight",
-                        "tenant-inflight", "store-capacity", "chaos-tenant",
-                        "replica-id", "update-interval-ms"});
+                        "tenant-inflight", "chaos-tenant", "replica-id",
+                        "update-interval-ms"});
     spec.switches = {"degrade", "allow-shutdown"};
+    spec.needs = {{"update-interval-ms", "updates"},
+                  {"chaos-seed", "chaos-plan"},
+                  {"chaos-plan", "chaos-tenant"},
+                  {"chaos-tenant", "chaos-plan"}};
+    // --tenants names every tenant and its instance.  An epoched tenant
+    // warms epoch 0 through its EpochedState, which records the delta trace
+    // a snapshot does not hold.
+    spec.conflicts = {{"tenants", "in"},
+                      {"tenants", "instance-id"},
+                      {"updates", "snapshot-dir"},
+                      {"updates", "chaos-tenant"}};
   } else if (command == "serve-engine") {
     spec.values = kServingFlags;
     spec.values.insert(spec.values.end(),
@@ -1016,6 +960,28 @@ std::optional<FlagSpec> command_flags(const std::string& command) {
                         "retry-attempts", "backoff-us", "backoff-max-us",
                         "retry-budget", "cert-dir", "cert-segment-records"});
     spec.switches = {"all", "degrade", "breaker", "certify", "verify-epochs"};
+    spec.needs = {{"cert-dir", "certify"},
+                  {"cert-segment-records", "certify"},
+                  {"verify-epochs", "updates"},
+                  {"instance-id", "snapshot-dir"}};
+    for (const char* retry : {"chaos-seed", "retry-attempts", "backoff-us",
+                              "backoff-max-us", "retry-budget"}) {
+      spec.needs.emplace_back(retry, "chaos-plan");
+    }
+    // An epoched instance has no single oracle stack to wrap, snapshot or
+    // certify against.
+    spec.conflicts = {{"updates", "chaos-plan"},
+                      {"updates", "breaker"},
+                      {"updates", "snapshot-dir"},
+                      {"updates", "certify"},
+                      {"items", "all"}};
+    // --items and --all replace the generated trace its shape flags make.
+    for (const char* listed : {"items", "all"}) {
+      for (const char* generator : {"shape", "queries", "zipf-s", "hot-frac",
+                                    "hot-items", "workload-seed"}) {
+        spec.conflicts.emplace_back(listed, generator);
+      }
+    }
   } else {
     return std::nullopt;
   }
@@ -1058,8 +1024,6 @@ int main(int argc, char** argv) {
       rc = cmd_eval(args);
     } else if (command == "serve-engine") {
       rc = cmd_serve_engine(args);
-    } else if (command == "verify-log") {
-      rc = cmd_verify_log(args);
     } else if (command == "snapshot") {
       rc = cmd_snapshot(argv[2], args);
     }

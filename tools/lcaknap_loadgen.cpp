@@ -449,6 +449,13 @@ int run(const Args& args) {
     throw std::invalid_argument("--shape diurnal needs --mode open (a closed "
                                 "loop has no offered rate to modulate)");
   }
+  if (args.has("period-ms") && !config.diurnal) {
+    throw std::invalid_argument("--period-ms needs --shape diurnal");
+  }
+  if (args.has("qps") && !config.open_loop) {
+    throw std::invalid_argument("--qps needs --mode open (a closed loop's "
+                                "rate is its window)");
+  }
   if (config.open_loop && config.qps <= 0) {
     throw std::invalid_argument("--mode open needs --qps");
   }
