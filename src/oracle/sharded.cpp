@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace lcaknap::oracle {
 
@@ -34,7 +35,8 @@ ShardedAccess::ShardedAccess(const knapsack::Instance& instance, std::size_t sha
     if (shard_masses[s] <= 0.0) {
       weights.assign(count, 1.0);
     }
-    shards_[s].sampler = std::make_unique<util::AliasSampler>(weights);
+    shards_[s].sampler =
+        std::make_unique<util::AliasSampler>(std::move(weights));
     if (shards <= kMaxLabeledShards) {
       shards_[s].traffic = &registry.counter(
           "oracle_shard_accesses_total",
@@ -43,7 +45,7 @@ ShardedAccess::ShardedAccess(const knapsack::Instance& instance, std::size_t sha
     }
     cursor = shards_[s].end;
   }
-  shard_picker_ = std::make_unique<util::AliasSampler>(shard_masses);
+  shard_picker_ = std::make_unique<util::AliasSampler>(std::move(shard_masses));
 }
 
 std::size_t ShardedAccess::size() const noexcept { return instance_->size(); }

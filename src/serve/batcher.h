@@ -17,7 +17,10 @@
 /// item, so a burst of duplicate hot-key queries costs ONE LCA evaluation
 /// (one oracle read) regardless of fan-in.  A batch closes when it reaches
 /// `max_batch_size` or when it has lingered `max_linger` since its first
-/// request — the classic throughput/latency dial.
+/// request — the classic throughput/latency dial.  Lingering only pays while
+/// another request could join, so the engine's dispatcher closes a sweep's
+/// batches at once (`flush_all`) when they hold every unfinished request in
+/// the engine: a lone caller never waits out `max_linger`.
 ///
 /// The batcher is a single-owner component: the engine's dispatcher thread
 /// is its only caller, so it carries no locking of its own (the queue in
@@ -29,7 +32,8 @@ struct BatcherConfig {
   /// Batch closes at this many requests.  1 disables grouping.
   std::size_t max_batch_size = 64;
   /// Batch closes this long after its first request.  0 closes every batch
-  /// on the next `collect_expired` sweep.
+  /// on the next `collect_expired` sweep.  The engine applies it only while
+  /// other requests are in flight.
   std::chrono::microseconds max_linger{200};
 };
 

@@ -194,23 +194,23 @@ ServeEngine::~ServeEngine() { drain(); }
 void ServeEngine::finish(Request& request, const Response& response) {
   switch (response.outcome) {
     case Outcome::kOk:
-      ok_.fetch_add(1, std::memory_order_relaxed);
+      ok_.fetch_add(1, std::memory_order_release);
       requests_ok_->inc();
       break;
     case Outcome::kOverloaded:
-      overloaded_.fetch_add(1, std::memory_order_relaxed);
+      overloaded_.fetch_add(1, std::memory_order_release);
       requests_overloaded_->inc();
       break;
     case Outcome::kDeadlineExceeded:
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      deadline_exceeded_.fetch_add(1, std::memory_order_release);
       requests_deadline_->inc();
       break;
     case Outcome::kDegraded:
-      degraded_.fetch_add(1, std::memory_order_relaxed);
+      degraded_.fetch_add(1, std::memory_order_release);
       requests_degraded_->inc();
       break;
     case Outcome::kError:
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      errors_.fetch_add(1, std::memory_order_release);
       requests_error_->inc();
       break;
   }
@@ -223,6 +223,16 @@ void ServeEngine::finish(Request& request, const Response& response) {
     request.callback(response);
   } catch (...) {
   }
+}
+
+std::uint64_t ServeEngine::finished_requests() const noexcept {
+  // Acquire pairs with finish()'s release increments: a request counted
+  // here also has its admission visible in `submitted_`.
+  return ok_.load(std::memory_order_acquire) +
+         overloaded_.load(std::memory_order_acquire) +
+         deadline_exceeded_.load(std::memory_order_acquire) +
+         degraded_.load(std::memory_order_acquire) +
+         errors_.load(std::memory_order_acquire);
 }
 
 std::uint64_t ServeEngine::deadline_from(
@@ -318,6 +328,16 @@ void ServeEngine::dispatch_loop() {
       // per-request queue overhead stops being the dispatch bottleneck.
       queue_.pop_all(backlog);
     }
+    // Lingering pays only when another caller asks for the same item
+    // meanwhile.  When this sweep holds every unfinished request and no
+    // batch is open, nobody else is in the engine, so the sweep's batches
+    // close at once and a lone caller never waits for a partner.
+    // `finished` is read before `submitted_`: a stale read only over-counts
+    // the unfinished requests, so the test can only err toward lingering.
+    const std::uint64_t finished = finished_requests();
+    const bool alone =
+        batcher.pending() == 0 &&
+        submitted_.load(std::memory_order_relaxed) - finished == backlog.size();
     const auto now = Clock::now();
     const std::uint64_t now_us = clock_->now_us();
     for (auto& pending : backlog) {
@@ -330,7 +350,11 @@ void ServeEngine::dispatch_loop() {
       }
     }
     backlog.clear();
-    batcher.collect_expired(now, ready);
+    if (alone) {
+      batcher.flush_all(ready);
+    } else {
+      batcher.collect_expired(now, ready);
+    }
     dispatch_ready(ready);
     queue_depth_gauge_->set(static_cast<double>(queue_.depth()));
     if (!got && queue_.closed() && queue_.depth() == 0) {

@@ -32,7 +32,9 @@
 ///
 /// Request lifecycle:
 ///   submit() ── admission ──> RequestQueue (bounded; full ⇒ kOverloaded)
-///            ── dispatcher ─> Batcher (group by item; linger/size close)
+///            ── dispatcher ─> Batcher (group by item; close on size or
+///                             linger; a sweep that holds every unfinished
+///                             request, with no batch open, closes at once)
 ///            ── ThreadPool ─> execute_batch_group, once per dispatch group
 ///                             of batches (a group of one is just a group):
 ///                             one shard-grouped AnswerCache get → the
@@ -266,6 +268,8 @@ class ServeEngine {
   void execute_batch_group(std::vector<Batch>& group,
                            const std::shared_ptr<const Epoch>& snap);
   void finish(Request& request, const Response& response);
+  /// Requests finish() has counted, under any outcome.
+  [[nodiscard]] std::uint64_t finished_requests() const noexcept;
   /// The O(1) degraded-mode membership rule: no oracle access, answers from
   /// the snapshot's warm run state alone.
   [[nodiscard]] static bool degraded_answer(const Epoch& snap,

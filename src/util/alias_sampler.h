@@ -2,7 +2,7 @@
 #define LCAKNAP_UTIL_ALIAS_SAMPLER_H
 
 #include <cstddef>
-#include <span>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.h"
@@ -14,12 +14,14 @@
 
 namespace lcaknap::util {
 
-/// Immutable alias table over indices [0, n).
+/// Immutable alias table over indices [0, n), 12 bytes per bucket.
 class AliasSampler {
  public:
   /// Builds the table from non-negative weights; at least one weight must be
-  /// positive.  Weights need not be normalised.
-  explicit AliasSampler(std::span<const double> weights);
+  /// positive, and there may be at most 2^32 - 1 of them.  Weights need not
+  /// be normalised.  The vector becomes the table's probability column, so
+  /// a caller that moves it in pays no copy.
+  explicit AliasSampler(std::vector<double> weights);
 
   /// Draws an index with probability weight[i] / sum(weights).
   [[nodiscard]] std::size_t sample(Xoshiro256& rng) const noexcept;
@@ -27,8 +29,8 @@ class AliasSampler {
   [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }
 
  private:
-  std::vector<double> prob_;        // acceptance probability per bucket
-  std::vector<std::size_t> alias_;  // fallback index per bucket
+  std::vector<double> prob_;          // acceptance probability per bucket
+  std::vector<std::uint32_t> alias_;  // fallback index per bucket
 };
 
 }  // namespace lcaknap::util

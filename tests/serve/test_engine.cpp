@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -65,6 +67,90 @@ const knapsack::Instance* EngineTest::instance_ = nullptr;
 const oracle::MaterializedAccess* EngineTest::access_ = nullptr;
 const core::LcaKp* EngineTest::lca_ = nullptr;
 
+/// Oracle decorator that, once armed, holds every read until the test
+/// releases it, so a test can keep a request in flight for as long as it
+/// needs.  It starts disarmed so the engine's warm-up runs through.
+class GatedAccess final : public oracle::InstanceAccess {
+ public:
+  explicit GatedAccess(const oracle::InstanceAccess& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return inner_->size();
+  }
+  [[nodiscard]] std::int64_t capacity() const noexcept override {
+    return inner_->capacity();
+  }
+  [[nodiscard]] std::int64_t total_profit() const noexcept override {
+    return inner_->total_profit();
+  }
+  [[nodiscard]] std::int64_t total_weight() const noexcept override {
+    return inner_->total_weight();
+  }
+
+  void arm() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    armed_ = true;
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+  /// Blocks until `readers` reads are held at the gate; false if that takes
+  /// longer than 10 s.
+  [[nodiscard]] bool wait_for_held(std::size_t readers) const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, 10s, [&] { return held_ >= readers; });
+  }
+
+ protected:
+  [[nodiscard]] knapsack::Item do_query(std::size_t i) const override {
+    hold();
+    return inner_->query(i);
+  }
+  [[nodiscard]] oracle::WeightedDraw do_sample(
+      util::Xoshiro256& rng) const override {
+    hold();
+    return inner_->weighted_sample(rng);
+  }
+
+ private:
+  void hold() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!armed_) return;
+    ++held_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !armed_; });
+    --held_;
+  }
+
+  const oracle::InstanceAccess* inner_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  bool armed_ = false;
+  mutable std::size_t held_ = 0;
+};
+
+/// An engine whose oracle reads pass through a `GatedAccess`.
+struct GatedEngine {
+  GatedEngine(const EngineConfig& engine_config, metrics::Registry& registry)
+      : gate(*EngineTest::shared_access()) {
+    core::LcaKpConfig config;
+    config.eps = 0.2;
+    config.seed = 0x5E;
+    config.quantile_samples = 20'000;
+    lca = std::make_unique<core::LcaKp>(gate, config);
+    engine = std::make_unique<ServeEngine>(*lca, engine_config, registry);
+  }
+  /// Opens the gate first, so a failed assertion cannot leave the engine's
+  /// drain waiting on a held read.
+  ~GatedEngine() { gate.release(); }
+
+  GatedAccess gate;
+  std::unique_ptr<core::LcaKp> lca;
+  std::unique_ptr<ServeEngine> engine;
+};
+
 TEST_F(EngineTest, AnswersMatchDirectEvaluation) {
   metrics::Registry registry;
   ServeEngine engine(*lca_, fast_config(), registry);
@@ -82,15 +168,23 @@ TEST_F(EngineTest, AnswersMatchDirectEvaluation) {
 
 TEST_F(EngineTest, HotTrafficHitsTheCacheAndBatches) {
   metrics::Registry registry;
-  ServeEngine engine(*lca_, fast_config(), registry);
+  GatedEngine gated(fast_config(), registry);
+  auto& engine = *gated.engine;
   constexpr std::size_t kHot = 13;
   constexpr std::size_t kRepeats = 2'000;
   std::vector<std::future<Response>> futures;
   futures.reserve(kRepeats);
-  for (std::size_t q = 0; q < kRepeats; ++q) {
+  // The first request, alone in the engine, leaves at once and is held in
+  // its oracle read; every later one arrives while it is in flight, so the
+  // batcher groups them whatever the thread timing.
+  gated.gate.arm();
+  futures.push_back(engine.submit(kHot));
+  ASSERT_TRUE(gated.gate.wait_for_held(1));
+  for (std::size_t q = 1; q < kRepeats; ++q) {
     futures.push_back(engine.submit(kHot));
   }
-  const bool expected = lca_->answer_from(engine.run(), kHot);
+  gated.gate.release();
+  const bool expected = gated.lca->answer_from(engine.run(), kHot);
   std::size_t hits = 0;
   for (auto& future : futures) {
     const auto response = future.get();
@@ -112,10 +206,76 @@ TEST_F(EngineTest, HotTrafficHitsTheCacheAndBatches) {
             kRepeats);
 }
 
+TEST_F(EngineTest, LoneRequestsDoNotWaitOutTheLinger) {
+  metrics::Registry registry;
+  auto config = fast_config();
+  config.batcher.max_linger = 200ms;
+  ServeEngine engine(*lca_, config, registry);
+  constexpr std::size_t kRequests = 20;
+  for (std::size_t item = 0; item < kRequests; ++item) {
+    const auto response = engine.submit_wait(item);
+    ASSERT_EQ(response.outcome, Outcome::kOk);
+    EXPECT_EQ(response.answer, lca_->answer_from(engine.run(), item));
+  }
+  // A caller alone in the engine has nobody to batch with: every request
+  // leaves in its own batch as soon as the dispatcher sees it, well inside
+  // the 200 ms linger.  Each observation must land in a latency bucket
+  // that ends at or below 100 ms.
+  engine.drain();
+  EXPECT_EQ(engine.stats().batches, kRequests);
+  const auto snapshot = registry.snapshot();
+  const metrics::Snapshot::HistogramSample* latency = nullptr;
+  for (const auto& hist : snapshot.histograms) {
+    if (hist.name == "serve_request_latency_us") latency = &hist;
+  }
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, kRequests);
+  std::uint64_t within_100ms = 0;
+  for (std::size_t b = 0; b < latency->upper_bounds.size() &&
+                          latency->upper_bounds[b] <= 100'000.0;
+       ++b) {
+    within_100ms += latency->bucket_counts[b];
+  }
+  EXPECT_EQ(within_100ms, kRequests);
+}
+
+TEST_F(EngineTest, RequestsLingerWhileAnotherIsInFlight) {
+  metrics::Registry registry;
+  auto config = fast_config();
+  config.batcher.max_linger = 200ms;
+  GatedEngine gated(config, registry);
+  auto& engine = *gated.engine;
+  constexpr std::size_t kX = 3;
+  constexpr std::size_t kY = 11;
+  gated.gate.arm();
+  // A is alone, so it leaves at once and is held in its oracle read.
+  auto a = engine.submit(kX);
+  ASSERT_TRUE(gated.gate.wait_for_held(1));
+  // B1 and B2 arrive while A is unfinished: they linger and share a batch.
+  auto b1 = engine.submit(kY);
+  auto b2 = engine.submit(kY);
+  gated.gate.release();
+  const auto ra = a.get();
+  const auto rb1 = b1.get();
+  const auto rb2 = b2.get();
+  ASSERT_EQ(ra.outcome, Outcome::kOk);
+  ASSERT_EQ(rb1.outcome, Outcome::kOk);
+  ASSERT_EQ(rb2.outcome, Outcome::kOk);
+  EXPECT_EQ(ra.answer, gated.lca->answer_from(engine.run(), kX));
+  EXPECT_EQ(rb1.answer, gated.lca->answer_from(engine.run(), kY));
+  EXPECT_EQ(rb2.answer, rb1.answer);
+  engine.drain();
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batched_requests, 3u);
+}
+
 TEST_F(EngineTest, DrainLeavesNoLostRequests) {
   metrics::Registry registry;
   auto config = fast_config();
-  config.batcher.max_linger = 5ms;  // leave batches open when drain hits
+  // Leave batches open when drain hits.  The first request, alone in the
+  // engine, leaves at once; the ones behind it linger.
+  config.batcher.max_linger = 5ms;
   ServeEngine engine(*lca_, config, registry);
   std::vector<std::future<Response>> futures;
   for (std::size_t q = 0; q < 500; ++q) {
@@ -277,7 +437,9 @@ TEST_F(EngineTest, DrainUnderPersistentOracleFailureTerminatesEveryRequest) {
   ServeEngine* engine_ptr = nullptr;
   {
     auto config = fast_config();
-    config.batcher.max_linger = 5ms;  // leave batches open when drain hits
+    // Leave batches open when drain hits.  The first request, alone in the
+    // engine, leaves at once; the ones behind it linger.
+    config.batcher.max_linger = 5ms;
     ChaoticEngine chaotic(ChaoticEngine::dead_oracle_plan(), config, registry);
     auto& engine = *chaotic.engine;
     engine_ptr = &engine;

@@ -54,5 +54,25 @@ TEST(AliasSampler, HighlySkewedWeights) {
   EXPECT_GT(hits, kTrials * 0.99 * 0.995);
 }
 
+TEST(AliasSampler, GoldenDrawsArePinned) {
+  // The weighted-sampling oracle's draws feed every warm-up, so how the
+  // table is built must never change a draw.  These 64 draws pin it for a
+  // fixed seed over a skewed vector with zeros.
+  const AliasSampler sampler(std::vector<double>{
+      0.0, 9.0, 0.5, 0.0, 120.0, 1.0, 0.0, 0.25, 30.0, 0.0, 2.0, 7.5, 0.0,
+      0.125, 60.0, 3.0});
+  const std::vector<std::size_t> golden{
+      14, 4, 4, 4,  4, 4, 14, 4,  4,  14, 8,  11, 14, 4, 4,  4,
+      4,  4, 4, 14, 4, 4, 7,  14, 14, 14, 1,  4,  8,  4, 4,  8,
+      4,  1, 8, 14, 14, 8, 4, 4,  8,  8,  14, 10, 11, 8, 4,  4,
+      14, 4, 8, 8,  14, 4, 4, 14, 14, 14, 4,  4,  14, 4, 8,  4};
+  Xoshiro256 rng(0xA11A5);
+  std::vector<std::size_t> draws;
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    draws.push_back(sampler.sample(rng));
+  }
+  EXPECT_EQ(draws, golden);
+}
+
 }  // namespace
 }  // namespace lcaknap::util

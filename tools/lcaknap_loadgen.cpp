@@ -51,9 +51,9 @@
 // Exit codes: 0 success, 1 usage error, 2 runtime/conservation failure.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <iostream>
 #include <map>
@@ -226,18 +226,23 @@ void run_open(const RunConfig& config, double conn_qps, std::uint64_t quota,
   try {
     net::Client client(config.host, config.port);
     std::mutex mutex;
+    std::condition_variable sent_or_done;
     std::unordered_map<std::uint64_t, Clock::time_point> outstanding;
-    std::atomic<bool> done_sending{false};
+    bool done_sending = false;
 
     std::thread drainer([&] {
       try {
         while (true) {
           {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (done_sending.load(std::memory_order_acquire) &&
-                outstanding.empty()) {
-              return;
-            }
+            // Block in recv() only while a frame is outstanding: the server
+            // answers every frame, so that recv() always returns.  With
+            // nothing outstanding a recv() could wait for a frame the sender
+            // never sends, if its last response beats `done_sending`.
+            std::unique_lock<std::mutex> lock(mutex);
+            sent_or_done.wait(lock, [&] {
+              return done_sending || !outstanding.empty();
+            });
+            if (outstanding.empty()) return;
           }
           const auto response = client.recv();
           double latency = 0.0;
@@ -298,10 +303,15 @@ void run_open(const RunConfig& config, double conn_qps, std::uint64_t quota,
         std::lock_guard<std::mutex> lock(mutex);
         outstanding.emplace(frame.request_id, Clock::now());
       }
+      sent_or_done.notify_one();
       client.send(frame);
       result.sent += 1;
     }
-    done_sending.store(true, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      done_sending = true;
+    }
+    sent_or_done.notify_one();
     drainer.join();
   } catch (const std::exception& e) {
     if (result.error.empty()) result.error = e.what();
