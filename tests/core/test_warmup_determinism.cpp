@@ -7,6 +7,7 @@
 #include "core/lca_kp.h"
 #include "knapsack/generators.h"
 #include "oracle/access.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 /// The sharded warm-up's whole contract (ISSUE: Lemma 4.9 preserved under
@@ -113,6 +114,46 @@ TEST(WarmupDeterminism, ConfigThreadsZeroMeansHardwareConcurrency) {
   // Still identical to an explicit single-threaded run: thread count is
   // performance-only.
   EXPECT_EQ(run_digest(lca.run_warmup(7)), run_digest(lca.run_warmup(7, 1)));
+}
+
+TEST(WarmupDeterminism, GoldenRuns) {
+  // The tests above compare runs with each other, so a change that shifted
+  // every warm-up the same way would pass them.  These values pin the served
+  // state itself, for the sharded warm-up and for the single-tape pipeline
+  // that E1-E13 run.
+  struct Golden {
+    std::uint64_t digest;
+    std::uint64_t samples_used;
+    std::vector<std::int64_t> thresholds_grid;
+  };
+  const auto expect_golden = [](const LcaKpRun& run, const Golden& golden,
+                                const char* what) {
+    EXPECT_EQ(run_digest(run), golden.digest) << what;
+    EXPECT_EQ(run.samples_used, golden.samples_used) << what;
+    EXPECT_EQ(run.thresholds_grid, golden.thresholds_grid) << what;
+  };
+  {
+    const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 20'000, 41);
+    const oracle::MaterializedAccess access(inst);
+    const LcaKp lca(access, warmup_config());
+    util::Xoshiro256 tape(7);
+    expect_golden(lca.run_warmup(7, 1),
+                  {17303474194513386089ULL, 61089, {2426, 1790}}, "needle warm-up");
+    expect_golden(lca.run_pipeline(tape),
+                  {15651679872329946864ULL, 61089, {2425, 1790}}, "needle pipeline");
+  }
+  {
+    const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 10'000, 3);
+    const oracle::MaterializedAccess access(inst);
+    const LcaKp lca(access, warmup_config(0.2));
+    util::Xoshiro256 tape(7);
+    expect_golden(lca.run_warmup(7, 1),
+                  {14083176683057456999ULL, 61899, {2159, 2089, 2052, 1999}},
+                  "uncorrelated warm-up");
+    expect_golden(lca.run_pipeline(tape),
+                  {15683234668043557391ULL, 61899, {2159, 2088, 2052, 1999}},
+                  "uncorrelated pipeline");
+  }
 }
 
 TEST(WarmupDeterminism, DigestDistinguishesRuns) {

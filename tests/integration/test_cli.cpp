@@ -594,6 +594,12 @@ TEST(Cli, ServeEngineReplaysAnEpochLog) {
   const auto final_epoch = replay.output.find("final epoch");
   ASSERT_NE(final_epoch, std::string::npos);
   EXPECT_NE(replay.output.find("2", final_epoch), std::string::npos);
+  // The served state after both advances, pinned: the checks above compare
+  // the replay with fresh warm-ups, which a change to every warm-up alike
+  // would keep passing.
+  EXPECT_EQ(row_value(replay.output, "final warm-state digest"),
+            "11114698376156734686")
+      << replay.output;
 
   // A corrupted seal is a typed parse failure with a pinned location
   // (EpochLogParseError is an invalid_argument, so it exits 1 like every
