@@ -98,8 +98,8 @@ struct LcaKpParams {
 /// Sufficient statistics of one warm-up's sample outcome, recorded when
 /// `run_warmup` is handed a trace out-param.  The key fact (src/dyn relies
 /// on it): both sweeps draw indices profit-proportionally, the step-1 filter
-/// keeps an index iff norm_profit > eps^2, and the step-2 ECDF is built by
-/// counting sort — so the *multiset of drawn indices* determines the run.
+/// keeps an index iff norm_profit > eps^2, and step 2 keeps only a count per
+/// grid cell — so the *multiset of drawn indices* determines the run.
 /// A mutation batch that provably leaves the profit vector (and n) unchanged
 /// leaves every PRF-substream draw sequence and both filters unchanged, and
 /// the run for the mutated instance can be replayed from this trace by
@@ -114,6 +114,9 @@ struct WarmupTrace {
   bool quantile_swept = false;
   /// Step-2 draws that passed the line-7 small filter, as sorted
   /// (index, draw count) pairs.  Counts suffice: the ECDF is order-blind.
+  /// Recording keeps one index per kept draw until the shards merge, so a
+  /// traced warm-up's memory still grows with `quantile_samples`; an
+  /// untraced one keeps only the grid-cell counts.
   std::vector<std::pair<std::size_t, std::uint64_t>> quantile_draws;
 };
 
@@ -174,28 +177,17 @@ class LcaKp final : public Lca {
                                     WarmupTrace* trace = nullptr) const;
 
   /// Completes a run from already-collected sweep results: applies the
-  /// step-2 small-mass gate, derives q/t, computes the EPS thresholds from
-  /// the grid-mapped small efficiencies, and finalizes (steps 3-4).  This is
-  /// the exact tail of `run_warmup` after its two sample sweeps, exposed so
-  /// the delta-warm-up replay (src/dyn) reuses the same arithmetic instead
-  /// of re-implementing it — any drift would break the digest-equality
-  /// contract.  `large` must be sorted by index with `large_mass` its
-  /// accumulated norm-profit mass (in that order); `efficiencies` is the
-  /// grid-mapped multiset from the quantile sweep (order irrelevant), empty
-  /// when the sweep did not run.
+  /// step-2 small-mass gate, derives q/t, reads the EPS thresholds off the
+  /// small draws' grid-cell counts, and finalizes (steps 3-4).  `run_pipeline`
+  /// and `run_warmup` return through it, and so does the delta-warm-up replay
+  /// (src/dyn) — one tail, so a replay cannot drift from a fresh warm-up's
+  /// digest.  `large` must be sorted by index with `large_mass` its
+  /// accumulated norm-profit mass (in that order).  `cells` holds one count
+  /// per cell of `domain()` when the gate passes (it becomes the ECDF's
+  /// cumulative array in place) and is ignored otherwise.
   [[nodiscard]] LcaKpRun complete_run_from_sweeps(
       std::span<const iky::NormLargeItem> large, double large_mass,
-      std::span<const std::int64_t> efficiencies) const;
-
-  /// Same tail from a pre-aggregated efficiency multiset: (grid value,
-  /// count) cells instead of one entry per observation, feeding the ECDF's
-  /// histogram constructor directly.  Produces the identical run — the ECDF
-  /// readouts are representation-independent — at O(cells + domain) instead
-  /// of O(samples), which is what keeps the delta warm-up replay's cost
-  /// bounded by the *trace* size, not the sample budget (src/dyn/delta.h).
-  [[nodiscard]] LcaKpRun complete_run_from_sweeps(
-      std::span<const iky::NormLargeItem> large, double large_mass,
-      std::span<const util::WeightedValue> weighted_efficiencies) const;
+      std::vector<std::size_t> cells) const;
 
   /// Answers "is item i in C?" from a finished run.  Costs exactly one query
   /// to the instance (lines 20-24 read item i).
@@ -238,13 +230,9 @@ class LcaKp final : public Lca {
   [[nodiscard]] const oracle::InstanceAccess& access() const noexcept { return *access_; }
 
  private:
-  /// Step 2's tail: reproducible EPS thresholds from the grid-mapped small
-  /// efficiencies (expects run.q / run.t already set).
-  /// The shared threshold loop over an already-built ECDF (lines 8-14).
-  void compute_thresholds_from_cdf(LcaKpRun& run,
-                                   const util::EmpiricalCdfInt& ecdf) const;
-  void compute_thresholds(LcaKpRun& run,
-                          std::span<const std::int64_t> efficiencies) const;
+  /// Step 2's tail (lines 8-14): the EPS thresholds read off the ECDF of the
+  /// small draws' grid efficiencies (expects run.q / run.t already set).
+  void compute_thresholds(LcaKpRun& run, const util::EmpiricalCdfInt& ecdf) const;
   /// Steps 3-4: construct Ĩ and convert its greedy into the membership rule.
   void finalize_run(LcaKpRun& run,
                     std::span<const iky::NormLargeItem> large) const;

@@ -1,6 +1,8 @@
 #include "dyn/delta.h"
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "iky/construct.h"
 
@@ -67,14 +69,13 @@ core::LcaKpRun replay_delta(const core::LcaKp& lca,
     throw std::runtime_error(
         "replay_delta: small-mass gate flipped across the epoch");
   }
-  // The trace already aggregates draws per index; map each cell to its new
-  // grid efficiency and hand the (value, count) cells straight to the
-  // histogram ECDF.  Never expanding back into per-observation entries keeps
-  // the replay O(distinct traced indices + domain), not O(samples) — the
-  // whole point of the delta path.
-  std::vector<util::WeightedValue> efficiencies;
+  // The trace already aggregates draws per index: add each index's count to
+  // the grid cell of its new efficiency.  Never expanding back into
+  // per-observation entries keeps the replay O(distinct traced indices +
+  // domain), not O(samples) — the whole point of the delta path.
+  std::vector<std::size_t> cells;
   if (sweep) {
-    efficiencies.reserve(trace.quantile_draws.size());
+    cells.assign(static_cast<std::size_t>(lca.domain().size()), 0);
     for (const auto& [index, count] : trace.quantile_draws) {
       const knapsack::Item item = access.query(index);
       if (access.norm_profit(item) > eps2) {
@@ -82,14 +83,11 @@ core::LcaKpRun replay_delta(const core::LcaKp& lca,
             "replay_delta: traced-small index " + std::to_string(index) +
             " no longer passes the line-7 filter");
       }
-      const std::int64_t grid = lca.domain().to_grid(access.efficiency(item));
-      efficiencies.push_back(
-          util::WeightedValue{grid, static_cast<std::size_t>(count)});
+      cells[static_cast<std::size_t>(lca.domain().to_grid(access.efficiency(item)))] +=
+          static_cast<std::size_t>(count);
     }
   }
-  return lca.complete_run_from_sweeps(large, large_mass,
-                                      std::span<const util::WeightedValue>(
-                                          efficiencies));
+  return lca.complete_run_from_sweeps(large, large_mass, std::move(cells));
 }
 
 }  // namespace lcaknap::dyn

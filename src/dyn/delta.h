@@ -14,14 +14,14 @@
 /// The soundness rule (unit-tested in tests/dyn, documented in
 /// docs/DYNAMIC.md): both warm-up sweeps draw item indices with probability
 /// proportional to *profit* (MaterializedAccess's alias table), the step-1
-/// filter keeps an index iff norm_profit > eps², and the step-2 ECDF is a
-/// counting sort over grid efficiencies.  Hence a batch that leaves the
+/// filter keeps an index iff norm_profit > eps², and step 2 keeps only a
+/// count per grid efficiency cell.  Hence a batch that leaves the
 /// profit vector and the item count unchanged — weight updates, and profit
 /// updates writing the value already present — provably leaves every PRF
 /// substream's index-draw sequence and both filters unchanged.  For such a
 /// batch the epoch-N run is a *replay*: re-read only the distinct indices
 /// recorded in the base epoch's `WarmupTrace` (their weights may have
-/// changed), rebuild the large records and the efficiency multiset, and
+/// changed), rebuild the large records and the grid-cell counts, and
 /// complete the run through the exact same tail arithmetic
 /// (`LcaKp::complete_run_from_sweeps`).  The replayed run is byte-equal —
 /// `run_digest`-equal — to a fresh `run_warmup` of the mutated instance

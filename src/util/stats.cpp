@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace lcaknap::util {
 
@@ -51,40 +52,15 @@ EmpiricalCdfInt::EmpiricalCdfInt(std::span<const std::int64_t> data)
   std::sort(sorted_.begin(), sorted_.end());
 }
 
-EmpiricalCdfInt::EmpiricalCdfInt(std::span<const std::int64_t> data,
-                                 std::int64_t domain_size) {
-  if (domain_size <= 0) {
-    throw std::invalid_argument("EmpiricalCdfInt: domain_size must be positive");
-  }
-  cum_.assign(static_cast<std::size_t>(domain_size), 0);
-  for (const auto v : data) {
-    if (v < 0 || v >= domain_size) {
-      throw std::invalid_argument("EmpiricalCdfInt: value outside [0, domain_size)");
-    }
-    ++cum_[static_cast<std::size_t>(v)];
+EmpiricalCdfInt::EmpiricalCdfInt(std::vector<std::size_t> counts)
+    : cum_(std::move(counts)) {
+  if (cum_.empty()) {
+    throw std::invalid_argument("EmpiricalCdfInt: the domain needs at least one cell");
   }
   for (std::size_t value = 1; value < cum_.size(); ++value) {
     cum_[value] += cum_[value - 1];
   }
-  n_ = cum_.empty() ? 0 : cum_.back();
-}
-
-EmpiricalCdfInt::EmpiricalCdfInt(std::span<const WeightedValue> weighted,
-                                 std::int64_t domain_size) {
-  if (domain_size <= 0) {
-    throw std::invalid_argument("EmpiricalCdfInt: domain_size must be positive");
-  }
-  cum_.assign(static_cast<std::size_t>(domain_size), 0);
-  for (const auto& [value, count] : weighted) {
-    if (value < 0 || value >= domain_size) {
-      throw std::invalid_argument("EmpiricalCdfInt: value outside [0, domain_size)");
-    }
-    cum_[static_cast<std::size_t>(value)] += count;
-  }
-  for (std::size_t value = 1; value < cum_.size(); ++value) {
-    cum_[value] += cum_[value - 1];
-  }
-  n_ = cum_.empty() ? 0 : cum_.back();
+  n_ = cum_.back();
 }
 
 double EmpiricalCdfInt::at(std::int64_t x) const noexcept {

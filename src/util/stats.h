@@ -48,35 +48,19 @@ class EmpiricalCdf {
   std::vector<double> sorted_;
 };
 
-/// One cell of a pre-aggregated integer multiset: `count` observations of
-/// `value` (the warm-up trace stores its quantile sweep this way).
-struct WeightedValue {
-  std::int64_t value = 0;
-  std::size_t count = 0;
-};
-
 /// Integer-domain empirical CDF, used by the reproducible-median machinery
 /// whose domain is a grid of 2^d integers.
 class EmpiricalCdfInt {
  public:
   explicit EmpiricalCdfInt(std::span<const std::int64_t> data);
 
-  /// Counting constructor for data known to lie in [0, domain_size):
-  /// O(n + domain) instead of O(n log n), a large win for the warm-up's
-  /// millions of grid-mapped efficiency samples over a 2^12-cell domain.
-  /// Stores only the cumulative histogram — O(domain) memory, never a
-  /// per-observation copy — and every readout (at, quantile, size) returns
-  /// exactly what the generic constructor's sorted representation would.
-  EmpiricalCdfInt(std::span<const std::int64_t> data, std::int64_t domain_size);
-
-  /// Same cumulative-histogram CDF from pre-aggregated (value, count) cells
-  /// (values in [0, domain_size), counts summed per value): O(cells +
-  /// domain), independent of the total observation count.  The delta
-  /// warm-up replay's path — its trace already holds counts, so expanding
-  /// them back into individual observations would cost the very
-  /// O(samples) the replay exists to avoid.
-  EmpiricalCdfInt(std::span<const WeightedValue> weighted,
-                  std::int64_t domain_size);
+  /// Histogram CDF over the finite domain [0, counts.size()): `counts[v]`
+  /// observations of value v.  The counts become the cumulative array in
+  /// place, so time and memory are O(domain) whatever the observation count
+  /// — the warm-up counts millions of grid-mapped efficiency samples into a
+  /// 2^12-cell domain.  Every readout (at, quantile, size) returns exactly
+  /// what the sorted constructor returns for the expanded multiset.
+  explicit EmpiricalCdfInt(std::vector<std::size_t> counts);
 
   [[nodiscard]] double at(std::int64_t x) const noexcept;
   /// Smallest observed value v with F̂(v) >= p; `fallback` when no data.

@@ -18,22 +18,28 @@
 /// steady-state request path of the serving engine touches only the shared
 /// read-only run state.  The batch path (`BatchEval::evaluate`) makes the
 /// same promise once its scratch has reached its high-water size.  The global operator new below counts every
-/// allocation in this binary, which is why this file is its own test
-/// executable (see tests/CMakeLists.txt) and stays away from the other
-/// suites.
+/// allocation in this binary, and the bytes each one requests, which is why
+/// this file is its own test executable (see tests/CMakeLists.txt) and stays
+/// away from the other suites.
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void count_allocation(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size != 0 ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   return std::malloc(size != 0 ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
@@ -117,6 +123,29 @@ TEST(QueryAllocation, SteadyStateBatchPathAllocatesNothing) {
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "BatchEval::evaluate allocated on the hot path";
+}
+
+TEST(QueryAllocation, WarmupBytesDoNotGrowWithQuantileSamples) {
+  // Step 2 reads its thresholds off one count per grid cell, so an untraced
+  // warm-up's working space is O(shards x |X|), whatever the sample budget.
+  const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 10'000, 41);
+  const oracle::MaterializedAccess access(inst);
+  const auto warmup_bytes = [&access](std::size_t quantile_samples) {
+    LcaKpConfig config;
+    config.eps = 0.25;
+    config.seed = 0xABCD;
+    config.quantile_samples = quantile_samples;
+    const LcaKp lca(access, config);
+    const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+    const auto run = lca.run_warmup(7, 1);
+    const std::uint64_t after = g_bytes.load(std::memory_order_relaxed);
+    EXPECT_EQ(run.samples_used, config.quantile_samples + lca.params().large_samples);
+    return after - before;
+  };
+  const std::uint64_t small = warmup_bytes(60'000);
+  const std::uint64_t large = warmup_bytes(600'000);
+  EXPECT_LT(large, small + 64 * 1024)
+      << "60k samples requested " << small << " B, 600k requested " << large << " B";
 }
 
 TEST(QueryAllocation, CallbackPathRequestAllocatesNothing) {
