@@ -4,34 +4,8 @@
 #include <stdexcept>
 
 #include "iky/partition.h"
-#include "util/stats.h"
 
 namespace lcaknap::iky {
-
-std::vector<std::int64_t> estimate_eps_grid(
-    std::span<const std::int64_t> efficiency_grid_samples, double q, int t) {
-  if (efficiency_grid_samples.empty()) {
-    throw std::invalid_argument("estimate_eps_grid: no samples");
-  }
-  if (!(q > 0.0 && q <= 1.0) || t < 0) {
-    throw std::invalid_argument("estimate_eps_grid: bad q or t");
-  }
-  const util::EmpiricalCdfInt ecdf(efficiency_grid_samples);
-  std::vector<std::int64_t> thresholds;
-  thresholds.reserve(static_cast<std::size_t>(t));
-  for (int k = 1; k <= t; ++k) {
-    const double p = 1.0 - static_cast<double>(k) * q;
-    thresholds.push_back(ecdf.quantile(std::max(p, 0.0)));
-  }
-  // Quantiles of a CDF are non-increasing in k by construction, but assert
-  // the invariant cheaply.
-  for (std::size_t k = 1; k < thresholds.size(); ++k) {
-    if (thresholds[k] > thresholds[k - 1]) {
-      thresholds[k] = thresholds[k - 1];
-    }
-  }
-  return thresholds;
-}
 
 std::vector<double> exact_eps(const knapsack::Instance& instance, double eps) {
   if (!(eps > 0.0 && eps < 1.0)) {

@@ -1,7 +1,6 @@
 #ifndef LCAKNAP_IKY_EPS_H
 #define LCAKNAP_IKY_EPS_H
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -13,22 +12,15 @@
 /// every efficiency band of small items carries profit mass in
 /// [eps, eps + eps^2) (the last band in [0, eps + eps^2)).
 ///
-/// Two estimators are provided:
-///  * `estimate_eps_grid` — plain empirical quantiles of profit-weighted
-///    efficiency samples, the original [IKY12] route.  Fast, accurate, but
-///    *not reproducible*: two runs produce slightly different thresholds.
-///    LCA-KP's ablation mode uses it to demonstrate the consistency failure
-///    the paper identifies in Section 1.1.
-///  * the reproducible route lives in core/lca_kp.cpp and calls
-///    reproducible::rquantile instead — same targets, identical outputs
-///    across replicas with high probability.
+/// The thresholds Algorithm 2 serves are estimated in core/lca_kp.cpp
+/// (`LcaKp::compute_thresholds`): reproducible quantiles
+/// (reproducible::rquantile) of the small items' grid efficiencies, or, in
+/// the `reproducible_quantiles = false` ablation, the plain empirical
+/// quantiles of the [IKY12] route — accurate but *not reproducible*, the
+/// consistency failure the paper identifies in Section 1.1.  This header
+/// holds the offline references those estimates are checked against.
 
 namespace lcaknap::iky {
-
-/// Plain (non-reproducible) empirical (1 - k*q)-quantiles for k = 1..t over
-/// grid-mapped efficiency samples.  Returns t thresholds, non-increasing.
-[[nodiscard]] std::vector<std::int64_t> estimate_eps_grid(
-    std::span<const std::int64_t> efficiency_grid_samples, double q, int t);
 
 /// Exact offline EPS: walks the small items by decreasing efficiency and
 /// cuts a threshold whenever ~eps of profit mass has accumulated.  This is

@@ -207,22 +207,28 @@ TEST(LcaKp, WorksThroughRetryingFlakyOracle) {
 TEST(LcaKp, ReproducibleThresholdsFormAnEps) {
   // Lemma 4.6: conditioned on the large items being captured, the pipeline's
   // quantile sequence is an (approximate) Equally Partitioning Sequence:
-  // every band of small items carries profit mass ~ eps.
+  // every band of small items carries profit mass ~ eps.  The plain
+  // empirical quantiles of the [IKY12] ablation must form one too: they are
+  // accurate, only not reproducible.
   const double eps = 0.1;
   const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 30'000, 57);
   const oracle::MaterializedAccess access(inst);
-  LcaKpConfig config = test_config(eps);
-  config.quantile_samples = 200'000;
-  const LcaKp lca(access, config);
-  util::Xoshiro256 tape(58);
-  const auto run = lca.run_pipeline(tape);
-  ASSERT_GE(run.thresholds.size(), 3u);
-  const auto validity = iky::check_eps(inst, run.thresholds, eps, /*slack=*/0.06);
-  // Interior bands must carry close to eps of profit mass each; the
-  // calibrated tau = eps/2 allows wider deviation than the paper's eps^2, so
-  // check against a correspondingly loose but still eps-scale window.
-  for (std::size_t k = 1; k + 1 < validity.band_masses.size(); ++k) {
-    EXPECT_NEAR(validity.band_masses[k], eps, 0.085) << "band " << k;
+  for (const bool reproducible : {true, false}) {
+    SCOPED_TRACE(reproducible ? "reproducible quantiles" : "plain quantiles");
+    LcaKpConfig config = test_config(eps);
+    config.quantile_samples = 200'000;
+    config.reproducible_quantiles = reproducible;
+    const LcaKp lca(access, config);
+    util::Xoshiro256 tape(58);
+    const auto run = lca.run_pipeline(tape);
+    ASSERT_GE(run.thresholds.size(), 3u);
+    const auto validity = iky::check_eps(inst, run.thresholds, eps, /*slack=*/0.06);
+    // Interior bands must carry close to eps of profit mass each; the
+    // calibrated tau = eps/2 allows wider deviation than the paper's eps^2, so
+    // check against a correspondingly loose but still eps-scale window.
+    for (std::size_t k = 1; k + 1 < validity.band_masses.size(); ++k) {
+      EXPECT_NEAR(validity.band_masses[k], eps, 0.085) << "band " << k;
+    }
   }
 }
 

@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <vector>
 
-#include "iky/efficiency_domain.h"
-#include "iky/partition.h"
 #include "knapsack/generators.h"
-#include "oracle/access.h"
 
 namespace lcaknap::iky {
 namespace {
@@ -39,48 +35,6 @@ TEST(CheckEps, RequiresNonIncreasingThresholds) {
   const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 1'000, 13);
   const std::vector<double> increasing{1.0, 2.0};
   EXPECT_THROW(check_eps(inst, increasing, 0.2), std::invalid_argument);
-}
-
-TEST(EstimateEpsGrid, RecoversQuantilesOfSampledMass) {
-  // Weighted samples of small-item efficiencies -> empirical EPS; compare
-  // against the exact one on the grid.
-  const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 20'000, 14);
-  const double eps = 0.2;
-  const oracle::MaterializedAccess access(inst);
-  const EfficiencyDomain domain(14);
-  util::Xoshiro256 rng(15);
-  std::vector<std::int64_t> grid_samples;
-  const double eps2 = eps * eps;
-  while (grid_samples.size() < 60'000) {
-    const auto draw = access.weighted_sample(rng);
-    if (access.norm_profit(draw.item) > eps2) continue;
-    grid_samples.push_back(domain.to_grid(access.efficiency(draw.item)));
-  }
-  const Partition part = partition_instance(inst, eps);
-  const double c = 1.0 - part.large_mass;
-  const double q = (eps + eps2 / 2.0) / c;
-  const int t = static_cast<int>(std::floor(1.0 / q));
-  ASSERT_GE(t, 2);
-  const auto thresholds_grid = estimate_eps_grid(grid_samples, q, t);
-  ASSERT_EQ(thresholds_grid.size(), static_cast<std::size_t>(t));
-  // Non-increasing.
-  for (std::size_t k = 1; k < thresholds_grid.size(); ++k) {
-    EXPECT_LE(thresholds_grid[k], thresholds_grid[k - 1]);
-  }
-  // Band masses of the estimated EPS are close to eps (loose sampled check).
-  std::vector<double> thresholds;
-  for (const auto g : thresholds_grid) thresholds.push_back(domain.from_grid(g));
-  const auto validity = check_eps(inst, thresholds, eps, /*slack=*/0.08);
-  for (std::size_t k = 0; k + 1 < validity.band_masses.size(); ++k) {
-    EXPECT_NEAR(validity.band_masses[k], eps, 0.1) << "band " << k;
-  }
-}
-
-TEST(EstimateEpsGrid, ValidatesInput) {
-  EXPECT_THROW(estimate_eps_grid({}, 0.2, 3), std::invalid_argument);
-  const std::vector<std::int64_t> samples{1, 2, 3};
-  EXPECT_THROW(estimate_eps_grid(samples, 0.0, 3), std::invalid_argument);
-  EXPECT_THROW(estimate_eps_grid(samples, 0.2, -1), std::invalid_argument);
 }
 
 TEST(ExactEps, ThresholdsAreStrictlyDecreasing) {
