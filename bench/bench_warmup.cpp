@@ -1,6 +1,6 @@
 // E17 — parallel deterministic warm-up + allocation-lean hot paths.
 //
-// Four tables:
+// Three tables:
 //  1. determinism: run_warmup digests across warmup_threads in {1,2,4,8} must
 //     be identical (the Lemma 4.9 state is pinned to PRF substreams, not to
 //     threads) — a mismatch is a hard failure (exit 1);
@@ -9,10 +9,7 @@
 //     >= 4 hardware threads; single-core hosts still print the table;
 //  3. latency-modeled oracle: every draw sleeps ~25 us (a stand-in for a
 //     remote input service), so thread overlap pays even on one core — the
-//     >= 2x @ 4 threads assertion always applies here;
-//  4. rational comparator microbench: the overflow-checked int64 fast path
-//     (cmp_products) vs the always-128-bit reference (cmp_products_wide) on
-//     realistic-scale operands (prediction: >= 1.3x).
+//     >= 2x @ 4 threads assertion always applies here.
 //
 // Also constructs a ServeEngine to exercise the warmup_duration_us /
 // warmup_threads metrics and reports them.
@@ -35,7 +32,6 @@
 #include "metrics/metrics.h"
 #include "oracle/access.h"
 #include "serve/engine.h"
-#include "util/rational.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -218,53 +214,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- 4. Rational comparator fast path vs wide reference. -----------------
-  double fast_ns = 0.0;
-  double wide_ns = 0.0;
-  {
-    const std::size_t n = smoke ? 400'000 : 4'000'000;
-    std::vector<std::int64_t> operands(n * 4);
-    Xoshiro256 rng(0xE17);
-    for (auto& v : operands) {
-      // Realistic profit/weight scale (< 2^31): the fast path never needs
-      // the 128-bit fallback here, which is the case the sweep optimizes.
-      v = static_cast<std::int64_t>(rng.next_below(2'000'000'000)) + 1;
-    }
-    std::uint64_t sink_fast = 0;
-    std::uint64_t sink_wide = 0;
-    const auto run_fast = [&] {
-      for (std::size_t i = 0; i + 3 < operands.size(); i += 4) {
-        sink_fast += util::cmp_products(operands[i], operands[i + 1],
-                                        operands[i + 2], operands[i + 3]) ==
-                     std::strong_ordering::less;
-      }
-    };
-    const auto run_wide = [&] {
-      for (std::size_t i = 0; i + 3 < operands.size(); i += 4) {
-        sink_wide += util::cmp_products_wide(operands[i], operands[i + 1],
-                                             operands[i + 2], operands[i + 3]) ==
-                     std::strong_ordering::less;
-      }
-    };
-    const int reps = smoke ? 3 : 5;
-    const double fast_ms = median_ms(reps, run_fast);
-    const double wide_ms = median_ms(reps, run_wide);
-    fast_ns = fast_ms * 1e6 / static_cast<double>(n);
-    wide_ns = wide_ms * 1e6 / static_cast<double>(n);
-
-    util::Table table({"comparator", "ns/op", "speedup", "checksum"});
-    table.row().cell("cmp_products_wide (128-bit)").cell(wide_ns, 3).cell(1.0, 2)
-        .cell(std::to_string(sink_wide));
-    table.row().cell("cmp_products (checked int64)").cell(fast_ns, 3)
-        .cell(wide_ns / fast_ns, 2).cell(std::to_string(sink_fast));
-    table.print(std::cout, "exact efficiency comparison microbench");
-    std::cout << "\n";
-    if (sink_fast != sink_wide) {
-      std::cerr << "FAIL: fast/wide comparators disagree\n";
-      ok = false;
-    }
-  }
-
   // --- Engine warm-up metrics. ---------------------------------------------
   double engine_warmup_us = 0.0;
   {
@@ -309,8 +258,6 @@ int main(int argc, char** argv) {
        << "  \"sleepy_warmup_ms\": {\"t1\": " << sleepy_ms[0] << ", \"t4\": "
        << sleepy_ms[1] << ", \"speedup\": " << sleepy_ms[0] / sleepy_ms[1]
        << "},\n"
-       << "  \"rational_ns_per_op\": {\"fast\": " << fast_ns << ", \"wide\": "
-       << wide_ns << ", \"speedup\": " << wide_ns / fast_ns << "},\n"
        << "  \"engine_warmup_duration_us\": " << engine_warmup_us << ",\n"
        << "  \"pass\": " << (ok ? "true" : "false") << "\n"
        << "}\n";

@@ -6,29 +6,33 @@
 #include <string>
 
 /// \file rational.h
-/// Exact rational arithmetic for efficiency values.
+/// Exact comparison of efficiency ratios.
 ///
-/// Section 4.2 of the paper ("Mapping to a finite domain") observes that when
-/// profits and weights are integers of polynomial bit-length, every efficiency
-/// ratio p/w lives in a *known, finite* ordered domain X of size 2^poly(n).
-/// Reproducibility of the quantile computation hinges on all replicas agreeing
-/// exactly on the order of these values, so we never compare efficiencies
-/// through floating point: `Rational` keeps (numerator, denominator) in 64
-/// bits and compares via cross products, which is exact for all operands
-/// below 2^63.
+/// Item efficiencies are ratios p/w of integers.  Where an order between two
+/// of them must not depend on floating-point rounding — the greedy solvers'
+/// `knapsack::efficiency_order` — it is decided exactly by cross products
+/// (`cmp_products`).  Algorithm 2's EPS thresholds and the reproducible
+/// median do not compare ratios: they work on the `iky::EfficiencyDomain`
+/// grid, a deterministic map of double efficiencies onto 2^bits cells that
+/// every replica computes alike.
 ///
-/// Comparison cost matters: the greedy sorts and the warm-up's efficiency
-/// handling call these comparators O(n log n) times.  Both `operator<=>` and
-/// `cmp_products` therefore take an overflow-checked `int64` fast path
-/// (`__builtin_mul_overflow`, a single mul + flags test on x86-64) and fall
-/// back to full 128-bit products only when either cross product could
-/// overflow — which for realistic instance profits/weights (< 2^31) never
-/// happens.  The two paths agree exactly by construction; bench_warmup's
-/// rational microbench (E17) measures what the fast path buys, and
-/// `cmp_products_wide` keeps the always-128-bit reference alive for that
-/// comparison and for the property tests.
+/// `cmp_products` always multiplies in `__int128`.  A widening 64x64->128
+/// multiply is one native instruction on x86-64, and an overflow-checked
+/// int64 fast path in front of it measured slower (E17, EXPERIMENTS.md).
 
 namespace lcaknap::util {
+
+/// Exact comparison of the products a1*a2 and b1*b2 where every factor fits
+/// in 64 bits (so each product fits in 128 bits).  Decides p_a/w_a <=>
+/// p_b/w_b as p_a*w_b <=> p_b*w_a without rounding.
+[[nodiscard]] constexpr std::strong_ordering cmp_products(
+    std::int64_t a1, std::int64_t a2, std::int64_t b1, std::int64_t b2) noexcept {
+  const __int128 lhs = static_cast<__int128>(a1) * a2;
+  const __int128 rhs = static_cast<__int128>(b1) * b2;
+  if (lhs < rhs) return std::strong_ordering::less;
+  if (lhs > rhs) return std::strong_ordering::greater;
+  return std::strong_ordering::equal;
+}
 
 /// A reduced fraction num/den with den > 0.  Immutable value type.
 class Rational {
@@ -43,23 +47,10 @@ class Rational {
   [[nodiscard]] constexpr std::int64_t num() const noexcept { return num_; }
   [[nodiscard]] constexpr std::int64_t den() const noexcept { return den_; }
 
-  /// Exact three-way comparison: overflow-checked int64 cross products, with
-  /// a 128-bit fallback when either product might not fit.
+  /// Exact three-way comparison by cross products.
   [[nodiscard]] friend constexpr std::strong_ordering operator<=>(
       const Rational& a, const Rational& b) noexcept {
-    std::int64_t lhs = 0;
-    std::int64_t rhs = 0;
-    if (!__builtin_mul_overflow(a.num_, b.den_, &lhs) &&
-        !__builtin_mul_overflow(b.num_, a.den_, &rhs)) {
-      if (lhs < rhs) return std::strong_ordering::less;
-      if (lhs > rhs) return std::strong_ordering::greater;
-      return std::strong_ordering::equal;
-    }
-    const __int128 wide_lhs = static_cast<__int128>(a.num_) * b.den_;
-    const __int128 wide_rhs = static_cast<__int128>(b.num_) * a.den_;
-    if (wide_lhs < wide_rhs) return std::strong_ordering::less;
-    if (wide_lhs > wide_rhs) return std::strong_ordering::greater;
-    return std::strong_ordering::equal;
+    return cmp_products(a.num_, b.den_, b.num_, a.den_);
   }
   [[nodiscard]] friend constexpr bool operator==(const Rational& a,
                                                  const Rational& b) noexcept {
@@ -89,38 +80,6 @@ class Rational {
   std::int64_t num_;
   std::int64_t den_;
 };
-
-/// Always-128-bit comparison of the products a1*a2 and b1*b2 where every
-/// factor fits in 64 bits and each product fits in 128 bits.  This is the
-/// reference implementation `cmp_products` must agree with; it also anchors
-/// the fast-vs-wide microbench in bench_warmup (E17).
-[[nodiscard]] constexpr std::strong_ordering cmp_products_wide(
-    std::int64_t a1, std::int64_t a2, std::int64_t b1, std::int64_t b2) noexcept {
-  const __int128 lhs = static_cast<__int128>(a1) * a2;
-  const __int128 rhs = static_cast<__int128>(b1) * b2;
-  if (lhs < rhs) return std::strong_ordering::less;
-  if (lhs > rhs) return std::strong_ordering::greater;
-  return std::strong_ordering::equal;
-}
-
-/// Exact comparison of the products a1*a2 and b1*b2 where every factor fits
-/// in 64 bits and each product fits in 128 bits.  Used for "triple product"
-/// threshold tests of the form  p * C1  <=>  w * C2  that arise when
-/// comparing normalized efficiencies to rational thresholds.  Overflow-checked
-/// int64 fast path; falls back to `cmp_products_wide` only when a product
-/// could exceed 64 bits.
-[[nodiscard]] constexpr std::strong_ordering cmp_products(
-    std::int64_t a1, std::int64_t a2, std::int64_t b1, std::int64_t b2) noexcept {
-  std::int64_t lhs = 0;
-  std::int64_t rhs = 0;
-  if (!__builtin_mul_overflow(a1, a2, &lhs) &&
-      !__builtin_mul_overflow(b1, b2, &rhs)) {
-    if (lhs < rhs) return std::strong_ordering::less;
-    if (lhs > rhs) return std::strong_ordering::greater;
-    return std::strong_ordering::equal;
-  }
-  return cmp_products_wide(a1, a2, b1, b2);
-}
 
 }  // namespace lcaknap::util
 

@@ -90,47 +90,33 @@ TEST(CmpProducts, MatchesExactArithmetic) {
   EXPECT_EQ(cmp_products(big, 2, big - 1, 2), std::strong_ordering::greater);
 }
 
-TEST(CmpProducts, FastPathAgreesWithWideOnOverflowingOperands) {
-  // Operands whose cross products exceed 64 bits: the checked fast path must
-  // detect the overflow and route to the 128-bit reference, agreeing with
-  // `cmp_products_wide` everywhere.
+TEST(CmpProducts, ExactWhereProductsExceed64Bits) {
+  // Hand-picked operands whose products do not fit in int64.
   const std::int64_t big = 4'000'000'000'000'000'000;  // big*3 overflows int64
-  const std::int64_t kCases[][4] = {
-      {big, 3, big, 3},          {big, 3, big - 1, 3},
-      {big - 1, 3, big, 3},      {-big, 3, big, 3},
-      {big, 3, -big, 3},         {-big, 3, -big, 3},
-      {-big, -3, big, 3},        {big, 3, 2, 5},
-      {2, 5, big, 3},            {INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN},
-      {INT64_MIN, 2, INT64_MAX, 2},
+  constexpr auto kLess = std::strong_ordering::less;
+  constexpr auto kEqual = std::strong_ordering::equal;
+  constexpr auto kGreater = std::strong_ordering::greater;
+  const struct {
+    std::int64_t a1, a2, b1, b2;
+    std::strong_ordering expected;
+  } kCases[] = {
+      {big, 3, big, 3, kEqual},           {big, 3, big - 1, 3, kGreater},
+      {big - 1, 3, big, 3, kLess},        {-big, 3, big, 3, kLess},
+      {big, 3, -big, 3, kGreater},        {-big, 3, -big, 3, kEqual},
+      {-big, -3, big, 3, kEqual},         {big, 3, 2, 5, kGreater},
+      {2, 5, big, 3, kLess},
+      {INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN, kLess},  // (2^63-1)^2 < 2^126
+      {INT64_MIN, 2, INT64_MAX, 2, kLess},
   };
   for (const auto& c : kCases) {
-    EXPECT_EQ(cmp_products(c[0], c[1], c[2], c[3]),
-              cmp_products_wide(c[0], c[1], c[2], c[3]))
-        << c[0] << "*" << c[1] << " vs " << c[2] << "*" << c[3];
-  }
-}
-
-TEST(CmpProducts, FastPathAgreesWithWideOnRandomOperands) {
-  // Mixed magnitudes so both the fast path and the fallback get exercised.
-  Xoshiro256 rng(55);
-  const auto draw = [&rng]() -> std::int64_t {
-    const auto raw = static_cast<std::int64_t>(rng());
-    switch (rng.next_below(3)) {
-      case 0: return raw % 1'000;              // small: fast path
-      case 1: return raw % 2'000'000'000;      // realistic profit/weight scale
-      default: return raw;                     // full range: overflow likely
-    }
-  };
-  for (int i = 0; i < 200'000; ++i) {
-    const std::int64_t a1 = draw(), a2 = draw(), b1 = draw(), b2 = draw();
-    ASSERT_EQ(cmp_products(a1, a2, b1, b2), cmp_products_wide(a1, a2, b1, b2))
-        << a1 << "*" << a2 << " vs " << b1 << "*" << b2;
+    EXPECT_EQ(cmp_products(c.a1, c.a2, c.b1, c.b2), c.expected)
+        << c.a1 << "*" << c.a2 << " vs " << c.b1 << "*" << c.b2;
   }
 }
 
 TEST(Rational, ComparisonAgreesWithWideReferenceNearOverflow) {
-  // Rational::operator<=> takes the same checked fast path; pin it against
-  // the 128-bit cross products on reduced fractions with huge components.
+  // Reduced fractions with huge components, whose cross products overflow
+  // int64: the ordering must match 128-bit cross products.
   Xoshiro256 rng(56);
   for (int i = 0; i < 20'000; ++i) {
     const auto num1 = static_cast<std::int64_t>(rng()) | 1;
@@ -139,8 +125,9 @@ TEST(Rational, ComparisonAgreesWithWideReferenceNearOverflow) {
     const auto den2 = static_cast<std::int64_t>(rng.next_below(INT64_MAX)) | 1;
     const Rational a(num1, den1);
     const Rational b(num2, den2);
-    ASSERT_EQ(a <=> b, cmp_products_wide(a.num(), b.den(), b.num(), a.den()))
-        << a.to_string() << " vs " << b.to_string();
+    const __int128 lhs = static_cast<__int128>(a.num()) * b.den();
+    const __int128 rhs = static_cast<__int128>(b.num()) * a.den();
+    ASSERT_EQ(a <=> b, lhs <=> rhs) << a.to_string() << " vs " << b.to_string();
   }
 }
 
