@@ -18,12 +18,10 @@
 // Flags: --smoke shrinks every budget for CI; --json PATH writes a one-object
 // JSON summary (default BENCH_cert.json when --json has no value).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <iostream>
 #include <memory>
@@ -42,14 +40,11 @@
 #include "store/snapshot.h"
 #include "util/table.h"
 
+#include "timing.h"
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
 
 }  // namespace
 
@@ -167,9 +162,9 @@ int main(int argc, char** argv) {
     on_times.push_back(on);
     rep_overheads.push_back((on - off) / off * 100.0);
   }
-  const double off_ms = median(off_times);
-  const double on_ms = median(on_times);
-  const double overhead_pct = median(rep_overheads);
+  const double off_ms = bench::median(off_times);
+  const double on_ms = bench::median(on_times);
+  const double overhead_pct = bench::median(rep_overheads);
   {
     util::Table table({"engine", "median ms", "overhead %"});
     table.row().cell("certify off").cell(off_ms, 2).cell(0.0, 2);
@@ -220,7 +215,7 @@ int main(int argc, char** argv) {
     verify_times.push_back(
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
   }
-  const double verify_ms = median(verify_times);
+  const double verify_ms = bench::median(verify_times);
   const double records_per_s =
       static_cast<double>(report.records) / (verify_ms / 1'000.0);
   const std::uint64_t oracle_queries_during_verify =

@@ -4,10 +4,12 @@
 // Three parts:
 //  1. churn x skew grid: for each (churn fraction, weight skew), apply a
 //     weight-only batch (delta-eligible) and time EpochedState::advance on
-//     the delta path vs a full run_warmup of the mutated instance.  Every
-//     row's delta digest is checked byte-equal to the fresh warm-up digest —
-//     a mismatch is a soundness bug and exits 2 immediately.  The headline
-//     claim — delta >= 5x faster than re-warm at <= 1% churn — is printed
+//     the delta path vs a full run_warmup of the mutated instance.  Each
+//     cell repeats both over 5 fresh states (advance mutates its state) and
+//     prints the medians with their min-max.  Every repeat's delta digest is
+//     checked byte-equal to the fresh warm-up digest — a mismatch is a
+//     soundness bug and exits 2.  The headline claim — delta >= 5x faster
+//     than re-warm at <= 1% churn — is read from the medians and printed
 //     CONFIRMED or REFUTED per row; a refuted claim is reported honestly,
 //     not failed.
 //  2. fallback rows: one batch per non-delta-eligible mutation kind (insert,
@@ -23,10 +25,8 @@
 // JSON summary (default BENCH_dyn.json when --json has no value).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <iostream>
 #include <map>
@@ -45,22 +45,27 @@
 #include "util/rng.h"
 #include "util/table.h"
 
+#include "timing.h"
+
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using namespace lcaknap;
 
-double median_ms(int reps, const std::function<void()>& fn) {
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    times.push_back(
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+/// Median and range of one grid cell's repeated timings, in milliseconds.
+struct Spread {
+  double median;
+  double min;
+  double max;
+};
+
+Spread spread_of(const std::vector<double>& times) {
+  const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
+  return {bench::median(times), *lo, *hi};
+}
+
+std::string range(const Spread& spread, int precision) {
+  return util::format_double(spread.min, precision) + "-" +
+         util::format_double(spread.max, precision);
 }
 
 /// A weight-only batch touching `count` distinct indices.  `skew` < 1 keeps
@@ -121,72 +126,82 @@ int main(int argc, char** argv) {
   struct GridRow {
     double churn;
     double skew;
-    double delta_ms;
-    double rewarm_ms;
-    double speedup;
+    Spread delta;  // over kReps fresh states
+    Spread rewarm;
+    double speedup;  // of the medians
     bool digest_equal;
   };
+  constexpr int kReps = 5;
   std::vector<GridRow> grid;
   {
     const double churns[] = {0.001, 0.01, 0.05};
     const double skews[] = {0.1, 1.0};
-    util::Table table({"churn", "skew", "delta ms", "rewarm ms", "speedup",
-                       "digest", "claim (>=5x @ <=1%)"});
+    const auto base =
+        knapsack::make_family(knapsack::Family::kUncorrelated, n, 0xE23);
+    dyn::EpochConfig config;
+    config.lca.eps = 0.2;
+    config.lca.seed = 0xE23;
+    config.lca.quantile_samples = smoke ? 50'000 : 400'000;
+    config.tape_seed = tape_seed;
+    util::Table table({"churn", "skew", "delta ms", "delta min-max",
+                       "rewarm ms", "rewarm min-max", "speedup", "digest",
+                       "claim (>=5x @ <=1%)"});
     for (const double churn : churns) {
       for (const double skew : skews) {
-        // A fresh state per cell: each advance is epoch 0 -> 1, so every
-        // cell measures the same transition, not a chained drift.
-        auto inst = knapsack::make_family(knapsack::Family::kUncorrelated,
-                                          n, 0xE23);
-        dyn::EpochConfig config;
-        config.lca.eps = 0.2;
-        config.lca.seed = 0xE23;
-        config.lca.quantile_samples = smoke ? 50'000 : 400'000;
-        config.tape_seed = tape_seed;
-        metrics::Registry registry;
-        dyn::EpochedState state(std::move(inst), config, registry);
-        const auto epoch0 = state.current();
-
         const auto count = std::max<std::size_t>(
             1, static_cast<std::size_t>(static_cast<double>(n) * churn));
-        const auto batch = weight_batch(1, *epoch0->instance, count, skew,
-                                        0xBEEF + count);
-
-        dyn::AdvanceReport report;
-        const double delta_ms =
-            median_ms(1, [&] { report = state.advance(batch); });
-        const auto epoch1 = state.current();
-        if (!report.delta) {
-          std::cerr << "FAIL: weight-only batch fell back to re-warm ("
-                    << report.reason << ")\n";
-          return 2;
+        const auto batch = weight_batch(1, base, count, skew, 0xBEEF + count);
+        std::vector<double> delta_times;
+        std::vector<double> rewarm_times;
+        bool digest_equal = true;
+        for (int rep = 0; rep < kReps; ++rep) {
+          // A fresh state per repeat: each advance is epoch 0 -> 1, so every
+          // repeat of every cell measures the same transition, not a chained
+          // drift.
+          metrics::Registry registry;
+          dyn::EpochedState state(base, config, registry);
+          dyn::AdvanceReport report;
+          delta_times.push_back(
+              bench::time_ms([&] { report = state.advance(batch); }));
+          if (!report.delta) {
+            std::cerr << "FAIL: weight-only batch fell back to re-warm ("
+                      << report.reason << ")\n";
+            return 2;
+          }
+          // Fresh warm-up of the mutated instance: the ground truth the
+          // delta path must reproduce byte-for-byte, and the cost it must
+          // beat.
+          const auto epoch1 = state.current();
+          std::uint64_t fresh_digest = 0;
+          rewarm_times.push_back(bench::time_ms([&] {
+            fresh_digest =
+                core::run_digest(epoch1->lca->run_warmup(tape_seed, 0));
+          }));
+          digest_equal = digest_equal && fresh_digest == report.digest;
         }
-        // Fresh warm-up of the mutated instance: the ground truth the delta
-        // path must reproduce byte-for-byte, and the cost it must beat.
-        std::uint64_t fresh_digest = 0;
-        const double rewarm_ms = median_ms(smoke ? 1 : 3, [&] {
-          fresh_digest =
-              core::run_digest(epoch1->lca->run_warmup(tape_seed, 0));
-        });
-        const bool digest_equal = fresh_digest == report.digest;
         digests_ok = digests_ok && digest_equal;
-        const double speedup = delta_ms > 0 ? rewarm_ms / delta_ms : 0.0;
+        const Spread delta = spread_of(delta_times);
+        const Spread rewarm = spread_of(rewarm_times);
+        const double speedup = delta.median > 0 ? rewarm.median / delta.median : 0.0;
         const bool in_claim = churn <= 0.01;
         const bool row_ok = !in_claim || speedup >= 5.0;
         if (in_claim) claim_confirmed = claim_confirmed && row_ok;
-        grid.push_back(
-            {churn, skew, delta_ms, rewarm_ms, speedup, digest_equal});
+        grid.push_back({churn, skew, delta, rewarm, speedup, digest_equal});
         table.row()
             .cell(churn, 3)
             .cell(skew, 1)
-            .cell(delta_ms, 3)
-            .cell(rewarm_ms, 2)
+            .cell(delta.median, 3)
+            .cell(range(delta, 3))
+            .cell(rewarm.median, 2)
+            .cell(range(rewarm, 2))
             .cell(speedup, 1)
             .cell(digest_equal ? "equal" : "MISMATCH")
             .cell(in_claim ? (row_ok ? "CONFIRMED" : "REFUTED") : "-");
       }
     }
-    table.print(std::cout, "delta vs full re-warm, n=" + std::to_string(n));
+    table.print(std::cout, "delta vs full re-warm, n=" + std::to_string(n) +
+                               ", median of " + std::to_string(kReps) +
+                               " fresh states per cell");
     std::cout << "\n";
     if (!digests_ok) {
       std::cerr << "FAIL: delta warm-up digest != fresh warm-up digest "
@@ -226,7 +241,7 @@ int main(int argc, char** argv) {
       batch.epoch_id = 1;
       batch.mutations.push_back(c.mutation);
       dyn::AdvanceReport report;
-      const double ms = median_ms(1, [&] { report = state.advance(batch); });
+      const double ms = bench::time_ms([&] { report = state.advance(batch); });
       fallback_ms = std::max(fallback_ms, ms);
       if (report.delta) {
         std::cerr << "FAIL: " << c.name
@@ -353,12 +368,18 @@ int main(int argc, char** argv) {
        << "  \"experiment\": \"E23\",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
        << "  \"n\": " << n << ",\n"
+       << "  \"reps\": " << kReps << ",\n"
        << "  \"grid\": [";
     for (std::size_t i = 0; i < grid.size(); ++i) {
       const auto& row = grid[i];
       os << (i > 0 ? "," : "") << "\n    {\"churn\": " << row.churn
-         << ", \"skew\": " << row.skew << ", \"delta_ms\": " << row.delta_ms
-         << ", \"rewarm_ms\": " << row.rewarm_ms
+         << ", \"skew\": " << row.skew
+         << ", \"delta_ms\": " << row.delta.median
+         << ", \"delta_min_ms\": " << row.delta.min
+         << ", \"delta_max_ms\": " << row.delta.max
+         << ", \"rewarm_ms\": " << row.rewarm.median
+         << ", \"rewarm_min_ms\": " << row.rewarm.min
+         << ", \"rewarm_max_ms\": " << row.rewarm.max
          << ", \"speedup\": " << row.speedup << ", \"digest_equal\": "
          << (row.digest_equal ? "true" : "false") << "}";
     }

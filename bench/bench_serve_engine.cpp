@@ -2,16 +2,19 @@
 // pitch is that the LCA serving model (answers are a deterministic function
 // of the shared seed and the item, Definition 2.3) licenses batching and
 // caching on top of plain parallelism.  To make that measurable, the oracle
-// is wrapped in a delay decorator charging a fixed RPC-scale cost per
-// *query* (weighted samples — the warm-up — stay in-memory): this is the
-// remote-storage deployment the serving stack targets, where each cache
-// miss costs a round trip.
+// sits under a `ChaosAccess` latency layer (`lat=20`) that busy-waits a
+// fixed RPC-scale cost per call.  The layer is disarmed while the warm-ups
+// run (run_pipeline, and the engine's at construction) and armed for the
+// timed replays, which read only queries: weighted samples stay in-memory.
+// This is the remote-storage deployment the serving stack targets, where
+// each cache miss costs a round trip.
 //
 // Baseline: one thread replaying the trace with `answer_from` (one delayed
 // oracle read per query).  Engine: the same trace through submit() with
 // batching + the sharded cache.  Shapes to check: >= 2x throughput at 4
 // workers on hotspot traffic, cache hit rate > 50% on skewed shapes, and
-// zero paranoia violations.
+// zero paranoia violations.  Exits 2 on a paranoia violation or when the
+// engine's answers differ from the sequential replay's.
 
 #include <chrono>
 #include <iostream>
@@ -19,55 +22,31 @@
 
 #include "core/lca_kp.h"
 #include "core/workload.h"
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "knapsack/generators.h"
 #include "oracle/access.h"
 #include "serve/engine.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "util/virtual_clock.h"
 
 namespace {
 
 using namespace lcaknap;
 
-/// Busy-waits: sleep_for cannot hit tens-of-microsecond targets reliably.
-void spin_for(std::chrono::microseconds d) {
-  const auto until = std::chrono::steady_clock::now() + d;
-  while (std::chrono::steady_clock::now() < until) {
-  }
-}
-
-/// Charges a fixed latency on every per-index query, modelling the remote
-/// input service the serving engine is built for.  Weighted samples pass
-/// through undelayed so the one-time warm-up stays cheap to benchmark.
-class DelayedAccess final : public oracle::InstanceAccess {
+/// Real time whose sleeps busy-wait: sleep_for cannot hit tens-of-microsecond
+/// targets reliably.
+class SpinClock final : public util::Clock {
  public:
-  DelayedAccess(const oracle::InstanceAccess& inner,
-                std::chrono::microseconds query_cost)
-      : inner_(&inner), query_cost_(query_cost) {}
-
-  [[nodiscard]] std::size_t size() const noexcept override { return inner_->size(); }
-  [[nodiscard]] std::int64_t capacity() const noexcept override {
-    return inner_->capacity();
+  [[nodiscard]] std::uint64_t now_us() const override {
+    return util::system_clock().now_us();
   }
-  [[nodiscard]] std::int64_t total_profit() const noexcept override {
-    return inner_->total_profit();
+  void sleep_us(std::uint64_t us) override {
+    const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+    while (std::chrono::steady_clock::now() < until) {
+    }
   }
-  [[nodiscard]] std::int64_t total_weight() const noexcept override {
-    return inner_->total_weight();
-  }
-
- protected:
-  [[nodiscard]] knapsack::Item do_query(std::size_t i) const override {
-    spin_for(query_cost_);
-    return inner_->query(i);
-  }
-  [[nodiscard]] oracle::WeightedDraw do_sample(util::Xoshiro256& rng) const override {
-    return inner_->weighted_sample(rng);
-  }
-
- private:
-  const oracle::InstanceAccess* inner_;
-  std::chrono::microseconds query_cost_;
 };
 
 struct RunResult {
@@ -76,10 +55,12 @@ struct RunResult {
   std::size_t served_from_cache = 0;
 };
 
-RunResult sequential_replay(const core::LcaKp& lca,
+RunResult sequential_replay(const core::LcaKp& lca, fault::ChaosAccess& rpc,
                             const std::vector<std::size_t>& trace) {
   util::Xoshiro256 tape(util::mix64(7));  // same tape seed as the engine
+  rpc.disarm();  // the warm-up draws in memory; the replay's queries pay
   const auto run = lca.run_pipeline(tape);
+  rpc.arm();
   RunResult result;
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto item : trace) result.yes += lca.answer_from(run, item) ? 1 : 0;
@@ -94,7 +75,7 @@ struct EngineResult {
   serve::EngineStats stats;
 };
 
-EngineResult engine_replay(const core::LcaKp& lca,
+EngineResult engine_replay(const core::LcaKp& lca, fault::ChaosAccess& rpc,
                            const std::vector<std::size_t>& trace,
                            std::size_t workers) {
   serve::EngineConfig config;
@@ -106,7 +87,9 @@ EngineResult engine_replay(const core::LcaKp& lca,
   config.cache.capacity = 1 << 14;
   config.cache.shards = 8;
   config.cache.paranoia_every = 64;
+  rpc.disarm();  // as in sequential_replay: only the replay pays
   serve::ServeEngine engine(lca, config);
+  rpc.arm();
 
   // Windowed closed-loop client: keep up to kWindow requests outstanding,
   // like a fleet of blocking callers.  A single unbounded burst would let
@@ -149,10 +132,11 @@ int main() {
 
   constexpr std::size_t kN = 50'000;
   constexpr std::size_t kQueries = 20'000;
-  constexpr auto kQueryCost = std::chrono::microseconds(20);
   const auto inst = knapsack::make_family(knapsack::Family::kNeedle, kN, 151);
   const oracle::MaterializedAccess storage(inst);
-  const DelayedAccess access(storage, kQueryCost);
+  SpinClock spin;
+  fault::ChaosAccess access(storage, fault::parse_fault_plan("rpc:0:lat=20", 0xE15),
+                            spin, /*armed=*/false);
 
   core::LcaKpConfig lca_config;
   lca_config.eps = 0.1;
@@ -161,6 +145,7 @@ int main() {
   const core::LcaKp lca(access, lca_config);
 
   std::uint64_t paranoia_violations = 0;
+  bool answers_match = true;
   util::Table table({"workload", "seq qps", "engine qps", "speedup", "hit rate",
                      "mean batch", "answers match"});
   for (const auto shape :
@@ -170,9 +155,10 @@ int main() {
     workload.shape = shape;
     workload.queries = kQueries;
     const auto trace = core::generate_workload(kN, workload);
-    const auto seq = sequential_replay(lca, trace);
-    const auto eng = engine_replay(lca, trace, 4);
+    const auto seq = sequential_replay(lca, access, trace);
+    const auto eng = engine_replay(lca, access, trace, 4);
     paranoia_violations += eng.stats.paranoia_violations;
+    answers_match = answers_match && seq.yes == eng.run.yes;
     const char* name = shape == core::WorkloadConfig::Shape::kUniform ? "uniform"
                        : shape == core::WorkloadConfig::Shape::kZipf  ? "zipf(1.1)"
                                                                       : "hotspot(90/16)";
@@ -200,10 +186,10 @@ int main() {
   hotspot.shape = core::WorkloadConfig::Shape::kHotspot;
   hotspot.queries = kQueries;
   const auto trace = core::generate_workload(kN, hotspot);
-  const auto seq = sequential_replay(lca, trace);
+  const auto seq = sequential_replay(lca, access, trace);
   util::Table scaling({"workers", "engine qps", "speedup vs sequential"});
   for (const std::size_t workers : {1, 2, 4, 8}) {
-    const auto eng = engine_replay(lca, trace, workers);
+    const auto eng = engine_replay(lca, access, trace, workers);
     paranoia_violations += eng.stats.paranoia_violations;
     scaling.row().cell(workers).cell(eng.run.qps, 0).cell(eng.run.qps / seq.qps, 2);
   }
@@ -220,5 +206,8 @@ int main() {
                "cores); on the skewed shapes the engine's structure — batching +\n"
                "caching — wins even on a single core, because it eliminates\n"
                "oracle reads instead of merely overlapping them.\n";
-  return paranoia_violations == 0 ? 0 : 2;
+  if (!answers_match) {
+    std::cerr << "FAIL: engine answers differ from the sequential replay\n";
+  }
+  return paranoia_violations == 0 && answers_match ? 0 : 2;
 }

@@ -21,12 +21,10 @@
 // Flags: --smoke shrinks every budget for CI; --json PATH writes a one-object
 // JSON summary (default BENCH_snapshot.json when --json has no value).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -41,22 +39,11 @@
 #include "store/state_store.h"
 #include "util/table.h"
 
+#include "timing.h"
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double median_ms(int reps, const std::function<void()>& fn) {
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    times.push_back(
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
 
 }  // namespace
 
@@ -103,9 +90,9 @@ int main(int argc, char** argv) {
   const auto run = lca.run_warmup(kTape);
   store::write_snapshot(snap_path, fingerprint, run);
   const int reps = smoke ? 3 : 5;
-  const double warmup_ms = median_ms(reps, [&] { (void)lca.run_warmup(kTape); });
+  const double warmup_ms = bench::median_ms(reps, [&] { (void)lca.run_warmup(kTape); });
   const double restore_ms =
-      median_ms(reps, [&] { (void)store::read_snapshot(snap_path, &fingerprint); });
+      bench::median_ms(reps, [&] { (void)store::read_snapshot(snap_path, &fingerprint); });
   const double speedup = warmup_ms / restore_ms;
   {
     util::Table table({"path", "median ms", "speedup"});

@@ -7,9 +7,10 @@
 //  2. CPU-bound warm-up wall time vs thread count (in-memory oracle).  The
 //     >= 2x @ 4 threads prediction is only *asserted* when the machine has
 //     >= 4 hardware threads; single-core hosts still print the table;
-//  3. latency-modeled oracle: every draw sleeps ~25 us (a stand-in for a
-//     remote input service), so thread overlap pays even on one core — the
-//     >= 2x @ 4 threads assertion always applies here.
+//  3. latency-modeled oracle: a `ChaosAccess` layer (`lat=25` on the system
+//     clock) sleeps ~25 us on every query and draw (a stand-in for a remote
+//     input service), so thread overlap pays even on one core — the >= 2x
+//     @ 4 threads assertion always applies here.
 //
 // Also constructs a ServeEngine to exercise the warmup_duration_us /
 // warmup_threads metrics and reports them.
@@ -18,16 +19,16 @@
 // JSON summary (default BENCH_warmup.json when --json has no value).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/lca_kp.h"
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
 #include "oracle/access.h"
@@ -35,62 +36,7 @@
 #include "util/rng.h"
 #include "util/table.h"
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-using lcaknap::util::Xoshiro256;
-
-/// Latency-modeled oracle: forwards to an in-memory access but sleeps on
-/// every counted operation, imitating a remote input service.  Warm-up
-/// threads overlap these sleeps, which is the deployment story for the
-/// parallel warm-up even on machines without spare cores.
-class SleepyAccess final : public lcaknap::oracle::InstanceAccess {
- public:
-  SleepyAccess(const lcaknap::oracle::InstanceAccess& inner,
-               std::chrono::microseconds delay)
-      : inner_(&inner), delay_(delay) {}
-
-  [[nodiscard]] std::size_t size() const noexcept override { return inner_->size(); }
-  [[nodiscard]] std::int64_t capacity() const noexcept override {
-    return inner_->capacity();
-  }
-  [[nodiscard]] std::int64_t total_profit() const noexcept override {
-    return inner_->total_profit();
-  }
-  [[nodiscard]] std::int64_t total_weight() const noexcept override {
-    return inner_->total_weight();
-  }
-
- protected:
-  [[nodiscard]] lcaknap::knapsack::Item do_query(std::size_t i) const override {
-    std::this_thread::sleep_for(delay_);
-    return inner_->query(i);
-  }
-  [[nodiscard]] lcaknap::oracle::WeightedDraw do_sample(
-      Xoshiro256& rng) const override {
-    std::this_thread::sleep_for(delay_);
-    return inner_->weighted_sample(rng);
-  }
-
- private:
-  const lcaknap::oracle::InstanceAccess* inner_;
-  std::chrono::microseconds delay_;
-};
-
-double median_ms(int reps, const std::function<void()>& fn) {
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    times.push_back(
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
-
-}  // namespace
+#include "timing.h"
 
 int main(int argc, char** argv) {
   using namespace lcaknap;
@@ -165,7 +111,7 @@ int main(int argc, char** argv) {
     const int reps = smoke ? 1 : 3;
     const std::size_t counts[3] = {1, 2, 4};
     for (int i = 0; i < 3; ++i) {
-      cpu_ms[i] = median_ms(reps, [&] { (void)lca.run_warmup(7, counts[i]); });
+      cpu_ms[i] = bench::median_ms(reps, [&] { (void)lca.run_warmup(7, counts[i]); });
       table.row()
           .cell(static_cast<long long>(counts[i]))
           .cell(cpu_ms[i], 2)
@@ -187,7 +133,7 @@ int main(int argc, char** argv) {
     const auto inst =
         knapsack::make_family(knapsack::Family::kUncorrelated, 2'000, 3);
     const oracle::MaterializedAccess storage(inst);
-    const SleepyAccess access(storage, std::chrono::microseconds(25));
+    const fault::ChaosAccess access(storage, fault::parse_fault_plan("rpc:0:lat=25", 0xE17));
     core::LcaKpConfig config;
     config.eps = 0.2;
     config.seed = 0xE17;
@@ -199,7 +145,7 @@ int main(int argc, char** argv) {
     const std::size_t counts[2] = {1, 4};
     for (int i = 0; i < 2; ++i) {
       sleepy_ms[i] =
-          median_ms(smoke ? 1 : 3, [&] { (void)lca.run_warmup(7, counts[i]); });
+          bench::median_ms(smoke ? 1 : 3, [&] { (void)lca.run_warmup(7, counts[i]); });
       table.row()
           .cell(static_cast<long long>(counts[i]))
           .cell(sleepy_ms[i], 2)

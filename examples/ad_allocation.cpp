@@ -16,12 +16,14 @@
 
 #include "core/lca_kp.h"
 #include "core/mapping_greedy.h"
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "knapsack/instance.h"
 #include "knapsack/solvers/greedy.h"
 #include "oracle/access.h"
-#include "oracle/latency_model.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "util/virtual_clock.h"
 
 namespace {
 
@@ -67,10 +69,12 @@ int main(int argc, char** argv) {
   std::cout << "inventory: " << n << " placements, budget = "
             << inventory.capacity() << " cost units\n";
 
-  // The inventory service is remote: model per-call latency so the report
-  // can speak in time, not just counts.
+  // The inventory service is remote: every call sleeps 120-200 us on a
+  // virtual clock, so the report can speak in time, not just counts.
   const oracle::MaterializedAccess store(inventory);
-  const oracle::LatencyAccess remote(store, {/*fixed_us=*/120.0, /*exp_mean_us=*/40.0}, 11);
+  util::VirtualClock rpc_clock;
+  const fault::ChaosAccess remote(store, fault::parse_fault_plan("rpc:0:lat=120..200", 11),
+                                  rpc_clock);
 
   core::LcaKpConfig config;
   config.eps = 0.25;
@@ -81,7 +85,7 @@ int main(int argc, char** argv) {
   // One bid server warms up (executes its run); decisions are then O(1).
   util::Xoshiro256 tape(5);
   const auto run = bidder.run_pipeline(tape);
-  const double warmup_ms = remote.simulated_us() / 1'000.0;
+  const double warmup_ms = static_cast<double>(rpc_clock.now_us()) / 1'000.0;
 
   // Serve a burst of placement decisions.
   util::Xoshiro256 traffic(17);

@@ -25,7 +25,6 @@
 #include "oracle/access.h"
 #include "oracle/retrying.h"
 #include "oracle/instrumented.h"
-#include "oracle/latency_model.h"
 #include "util/table.h"
 #include "util/virtual_clock.h"
 
@@ -41,9 +40,13 @@ int main(int argc, char** argv) {
   // simulated RPC latency -> scripted fail-stops -> answer verification ->
   // client-side retries with backoff.  Fail-stops fire *before* the
   // sampling tape is consumed, which is what makes retries transparent.
+  // RPC latency (80-140 us per call that reaches the service) accrues on its
+  // own virtual clock, apart from the backoff's.
   const oracle::MaterializedAccess storage(instance);
   const oracle::InstrumentedAccess counted(storage);
-  const oracle::LatencyAccess remote(counted, {/*fixed_us=*/80.0, /*exp_mean_us=*/30.0}, 31);
+  util::VirtualClock rpc_clock;
+  const fault::ChaosAccess remote(counted, fault::parse_fault_plan("rpc:0:lat=80..140", 31),
+                                  rpc_clock);
   fault::FaultPhase outage;
   outage.label = "flaky";
   outage.fail_rate = failure_rate;
@@ -101,7 +104,8 @@ int main(int argc, char** argv) {
             << util::format_double(static_cast<double>(client.backoff_slept_us()) / 1e6, 2)
             << " s (simulated)\n"
             << "  simulated RPC time : "
-            << util::format_double(remote.simulated_us() / 1e6, 2) << " s\n"
+            << util::format_double(static_cast<double>(rpc_clock.now_us()) / 1e6, 2)
+            << " s\n"
             << "\nFailures fire before the sampling tape is consumed, so retries\n"
             << "are fully transparent: with the same seed and tape the flaky\n"
             << "stack reproduces the reliable run bit-for-bit (columns match\n"

@@ -37,6 +37,14 @@
 /// let the warm-up pass cleanly, then `arm()` before replaying traffic.
 /// Arming (re)starts the plan's phase schedule at the current clock time.
 ///
+/// Latency model: a latency-only plan is also how benches and examples turn
+/// oracle calls into time, and this is the one decorator that does it.  A
+/// fixed delay is `lat=N`; a range `lat=MIN..MAX` draws uniformly per call.
+/// E15 busy-waits `lat=20` on a spinning clock, armed only for its timed
+/// replays; E17 sleeps `lat=25` on the system clock; the `ad_allocation` and
+/// `resilient_serving` examples accrue a `lat=` range on a `VirtualClock`
+/// and report its `now_us()` as simulated RPC time.
+///
 /// Metrics: `fault_injected_total{kind="failstop"|"latency"|"corruption"}`
 /// and the `fault_plan_phase` gauge (last observed phase index).
 ///

@@ -20,8 +20,8 @@
 /// benches all read the registry.  Placed innermost-but-one in a decorator
 /// stack (directly above storage), its counts equal the storage oracle's
 /// legacy counters call-for-call — `tests/oracle/instrumented_test.cpp` pins
-/// that equivalence.  Simulated access latency is `LatencyAccess`'s job
-/// (oracle/latency_model.h).
+/// that equivalence.  Simulated access latency is a `fault::ChaosAccess`
+/// `lat=` phase (fault/chaos.h).
 
 namespace lcaknap::oracle {
 

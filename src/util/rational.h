@@ -3,7 +3,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 
 /// \file rational.h
 /// Exact comparison of efficiency ratios.
@@ -33,53 +32,6 @@ namespace lcaknap::util {
   if (lhs > rhs) return std::strong_ordering::greater;
   return std::strong_ordering::equal;
 }
-
-/// A reduced fraction num/den with den > 0.  Immutable value type.
-class Rational {
- public:
-  /// Zero.
-  constexpr Rational() noexcept : num_(0), den_(1) {}
-
-  /// Constructs num/den, reducing to lowest terms and normalising the sign
-  /// into the numerator.  `den` must be non-zero.
-  Rational(std::int64_t num, std::int64_t den);
-
-  [[nodiscard]] constexpr std::int64_t num() const noexcept { return num_; }
-  [[nodiscard]] constexpr std::int64_t den() const noexcept { return den_; }
-
-  /// Exact three-way comparison by cross products.
-  [[nodiscard]] friend constexpr std::strong_ordering operator<=>(
-      const Rational& a, const Rational& b) noexcept {
-    return cmp_products(a.num_, b.den_, b.num_, a.den_);
-  }
-  [[nodiscard]] friend constexpr bool operator==(const Rational& a,
-                                                 const Rational& b) noexcept {
-    return (a <=> b) == std::strong_ordering::equal;
-  }
-
-  /// Exact product; throws std::overflow_error if the reduced result does not
-  /// fit in 64 bits.
-  [[nodiscard]] Rational operator*(const Rational& other) const;
-
-  /// Exact sum; throws std::overflow_error on 64-bit overflow of the result.
-  [[nodiscard]] Rational operator+(const Rational& other) const;
-
-  [[nodiscard]] double to_double() const noexcept {
-    return static_cast<double>(num_) / static_cast<double>(den_);
-  }
-
-  [[nodiscard]] std::string to_string() const;
-
-  /// Best rational approximation of `x` with denominator at most `max_den`,
-  /// via the Stern–Brocot tree.  Used to snap user-facing `double` parameters
-  /// (like epsilon) onto the exact grid once, so that all replicas share the
-  /// same exact value.
-  [[nodiscard]] static Rational from_double(double x, std::int64_t max_den = 1'000'000);
-
- private:
-  std::int64_t num_;
-  std::int64_t den_;
-};
 
 }  // namespace lcaknap::util
 

@@ -7,6 +7,7 @@
 
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
+#include "util/rng.h"
 #include "util/virtual_clock.h"
 
 namespace lcaknap::fault {
@@ -92,10 +93,17 @@ TEST(ChaosAccess, LatencySleepsOnInjectedClock) {
   metrics::Registry registry;
   const ChaosAccess chaos(inner, hold_plan(0.0, 0.0, 100, 400), clock,
                           /*armed=*/true, registry);
-  constexpr int kCalls = 500;
+  // Queries and weighted draws alike pay: a latency phase models the RPC,
+  // whichever oracle call it carries.
+  constexpr int kCalls = 1'000;
+  util::Xoshiro256 tape(3);
   std::uint64_t previous = clock.now_us();
   for (int i = 0; i < kCalls; ++i) {
-    (void)chaos.query(static_cast<std::size_t>(i % 30));
+    if (i % 2 == 0) {
+      (void)chaos.query(static_cast<std::size_t>(i % 30));
+    } else {
+      (void)chaos.weighted_sample(tape);
+    }
     const auto now = clock.now_us();
     const auto slept = now - previous;
     EXPECT_GE(slept, 100u);
@@ -111,13 +119,20 @@ TEST(ChaosAccess, DisarmedPassesThroughUncounted) {
   const oracle::MaterializedAccess inner(inst);
   util::VirtualClock clock;
   metrics::Registry registry;
-  ChaosAccess chaos(inner, hold_plan(1.0), clock, /*armed=*/false, registry);
+  ChaosAccess chaos(inner, hold_plan(1.0, 0.0, 100, 400), clock,
+                    /*armed=*/false, registry);
   EXPECT_EQ(chaos.phase_index(), ChaosAccess::kInactive);
+  util::Xoshiro256 tape(4);
   for (int i = 0; i < 200; ++i) {
     EXPECT_NO_THROW((void)chaos.query(static_cast<std::size_t>(i % 20)));
+    EXPECT_NO_THROW((void)chaos.weighted_sample(tape));
   }
   EXPECT_EQ(chaos.calls_seen(), 0u);
   EXPECT_EQ(chaos.failstops_injected(), 0u);
+  // Disarmed calls pay no latency: a warm-up run through a disarmed layer
+  // costs no modelled time.
+  EXPECT_EQ(chaos.latencies_injected(), 0u);
+  EXPECT_EQ(clock.now_us(), 0u);
 }
 
 TEST(ChaosAccess, ArmRestartsPhaseSchedule) {

@@ -9,7 +9,6 @@
 #include "fault/chaos.h"
 #include "fault/plan.h"
 #include "knapsack/generators.h"
-#include "oracle/latency_model.h"
 #include "oracle/retrying.h"
 #include "oracle/sharded.h"
 
@@ -66,22 +65,6 @@ TEST(InstrumentedAccess, IsTransparentToResults) {
     EXPECT_EQ(draw_a.index, draw_b.index);
     EXPECT_EQ(draw_a.item, draw_b.item);
   }
-}
-
-TEST(LatencyAccess, AccruesSimulatedTime) {
-  const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 20, 7);
-  const MaterializedAccess inner(inst);
-  LatencyModel model;
-  model.fixed_us = 100.0;
-  model.exp_mean_us = 10.0;
-  const LatencyAccess timed(inner, model, 13);
-  util::Xoshiro256 rng(6);
-  constexpr int kCalls = 1'000;
-  for (int i = 0; i < kCalls; ++i) (void)timed.weighted_sample(rng);
-  const double us = timed.simulated_us();
-  // Mean per call is fixed + exp_mean = 110us.
-  EXPECT_NEAR(us / kCalls, 110.0, 5.0);
-  EXPECT_EQ(timed.sample_count(), static_cast<std::uint64_t>(kCalls));
 }
 
 TEST(InstrumentedAccess, ConcurrentTrafficKeepsBothPathsEqual) {
