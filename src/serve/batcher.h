@@ -18,13 +18,12 @@
 /// (one oracle read) regardless of fan-in.  A batch closes when it reaches
 /// `max_batch_size` or when it has lingered `max_linger` since its first
 /// request — the classic throughput/latency dial.  Lingering only pays while
-/// another request could join, so the engine's dispatcher closes a sweep's
-/// batches at once (`flush_all`) when they hold every unfinished request in
-/// the engine: a lone caller never waits out `max_linger`.
+/// another request could join, so an engine sweep closes its batches at once
+/// (`flush_all`) when they hold every unfinished request in the engine: a
+/// lone caller never waits out `max_linger`.
 ///
-/// The batcher is a single-owner component: the engine's dispatcher thread
-/// is its only caller, so it carries no locking of its own (the queue in
-/// front of it is the concurrency boundary).
+/// The batcher carries no locking of its own: the engine hands it, under its
+/// mutex, to one sweeping worker at a time, and only that worker calls it.
 
 namespace lcaknap::serve {
 

@@ -1,8 +1,8 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -54,9 +54,9 @@ ServeEngine::ServeEngine(const core::LcaKp& lca, const EngineConfig& config,
           serve_latency_buckets())),
       queue_depth_gauge_(&registry.gauge(
           "serve_queue_depth", "Requests waiting in the engine's bounded queue")),
-      queue_(std::max<std::size_t>(1, config.queue_capacity)),
       cache_(config.cache, registry),
-      pool_(std::max<std::size_t>(1, config.workers)) {
+      capacity_(std::max<std::size_t>(1, config.queue_capacity)),
+      batcher_(config.batcher) {
   // The one-time Theorem 4.1 warm-up; afterwards `run_` is read-only and
   // shared by every worker (Definition 2.3's shared-seed replica).  The
   // sharded warm-up draws from PRF substreams of `warmup_tape_seed`, so the
@@ -108,7 +108,16 @@ ServeEngine::ServeEngine(const core::LcaKp& lca, const EngineConfig& config,
   epochs_.push_back(
       make_epoch(0, lca, std::move(run), nullptr, config_.cert_dir, registry));
   epoch_gauge_->set(0.0);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  const std::size_t workers = std::max<std::size_t>(1, config_.workers);
+  workers_.reserve(workers);
+  try {
+    for (std::size_t w = 0; w < workers; ++w) {
+      workers_.emplace_back([this] { work(); });
+    }
+  } catch (...) {
+    drain();  // joins the workers that did start
+    throw;
+  }
 }
 
 std::shared_ptr<const ServeEngine::Epoch> ServeEngine::make_epoch(
@@ -255,14 +264,34 @@ void ServeEngine::admit(std::size_t item, std::uint64_t deadline_us,
   request.deadline_us = deadline_us;
   request.callback = std::move(callback);
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (!queue_.try_push(std::move(request))) {
-    // try_push fails without consuming the request; reject it here so every
-    // submitted request completes exactly once.
+  bool admitted = false;
+  std::size_t depth = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!closed_ && queue_.size() < capacity_) {
+      queue_.push_back(std::move(request));
+      admitted = true;
+    }
+    depth = queue_.size();
+  }
+  if (admitted && depth == 1) {
+    // One wake per sweep, not per request: a queue that was already
+    // non-empty has a worker woken for it, or every worker is busy and the
+    // first one back sweeps it.
+    work_ready_.notify_one();
+  } else if (!admitted) {
+    // A refused request is still ours; reject it here so every submitted
+    // request completes exactly once.
     Response response;
     response.outcome = Outcome::kOverloaded;
     finish(request, response);
   }
-  queue_depth_gauge_->set(static_cast<double>(queue_.depth()));
+  queue_depth_gauge_->set(static_cast<double>(depth));
+}
+
+std::size_t ServeEngine::queue_depth() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size();
 }
 
 void ServeEngine::submit(std::size_t item, CompletionCallback callback) {
@@ -311,91 +340,147 @@ Response ServeEngine::submit_wait(std::size_t item) {
   return submit(item).get();
 }
 
-void ServeEngine::dispatch_loop() {
-  Batcher batcher(config_.batcher);
-  std::vector<Batch> ready;
-  std::deque<Request> backlog;
-  // Wake at least this often so linger windows close promptly even when the
-  // queue is quiet.
+/// Capacity persists across groups, so a warm worker allocates none of
+/// these buffers again.
+struct ServeEngine::WorkerScratch {
+  /// Witness per lane for certification (cache entry or fresh evaluation).
+  struct LaneWitness {
+    bool has = false;
+    bool large = false;
+    std::int64_t profit = 0;
+    std::int64_t weight = 0;
+  };
+
+  std::vector<Batch> group;    ///< the dispatch group this worker evaluates
+  std::vector<Request> swept;  ///< the queue, swapped out by this worker's sweep
+  std::vector<Request> shed;   ///< expired at this worker's sweep
+  std::vector<Batch> ready;    ///< batches this worker's sweep closed
+  std::vector<std::size_t> items;  ///< one lane per batch
+  std::vector<std::optional<AnswerCache::Hit>> cached;
+  std::vector<Response> responses;
+  std::vector<LaneWitness> witnesses;
+  std::vector<std::size_t> miss_lanes;
+  std::vector<std::size_t> miss_items;
+  std::vector<AnswerCache::PutItem> puts;
+  core::BatchScratch eval;
+};
+
+void ServeEngine::work() {
+  WorkerScratch scratch;
+  // While a batch is open, one idle worker wakes at least this often so its
+  // linger window closes even when the queue is quiet.
   const auto poll = std::chrono::microseconds(
       std::clamp<std::int64_t>(config_.batcher.max_linger.count() / 2, 50, 1000));
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    Request request;
-    const bool got = queue_.pop_for(request, poll);
-    if (got) {
-      backlog.push_back(std::move(request));
-      // Under load, take the rest of the backlog in one lock acquisition so
-      // per-request queue overhead stops being the dispatch bottleneck.
-      queue_.pop_all(backlog);
+    std::size_t wake = 0;
+    // A waiting group goes first: while every worker is busy, requests stay
+    // in the bounded queue instead of piling up behind the batcher.
+    if (closed_batches_.empty() && !sweeping_) {
+      if (closed_ && queue_.empty() && open_ == 0) return;
+      wake = sweep(lock, scratch);
     }
-    // Lingering pays only when another caller asks for the same item
-    // meanwhile.  When this sweep holds every unfinished request and no
-    // batch is open, nobody else is in the engine, so the sweep's batches
-    // close at once and a lone caller never waits for a partner.
-    // `finished` is read before `submitted_`: a stale read only over-counts
-    // the unfinished requests, so the test can only err toward lingering.
-    const std::uint64_t finished = finished_requests();
-    const bool alone =
-        batcher.pending() == 0 &&
-        submitted_.load(std::memory_order_relaxed) - finished == backlog.size();
-    const auto now = Clock::now();
-    const std::uint64_t now_us = clock_->now_us();
-    for (auto& pending : backlog) {
-      if (pending.expired(now_us)) {
-        Response response;
-        response.outcome = Outcome::kDeadlineExceeded;
-        finish(pending, response);
+    const std::size_t take = std::min(group_size_, closed_batches_.size());
+    const auto first = closed_batches_.end() - static_cast<std::ptrdiff_t>(take);
+    std::move(first, closed_batches_.end(), std::back_inserter(scratch.group));
+    closed_batches_.erase(first, closed_batches_.end());
+    if (scratch.group.empty() && scratch.shed.empty()) {
+      // Requests admitted during this worker's own sweep: sweep again.
+      if (!queue_.empty() && !sweeping_) continue;
+      if (open_ > 0 && !poller_) {
+        poller_ = true;
+        work_ready_.wait_for(lock, poll);
+        poller_ = false;
       } else {
-        batcher.add(std::move(pending), now, ready);
+        work_ready_.wait(lock);
       }
+      continue;
     }
-    backlog.clear();
-    if (alone) {
-      batcher.flush_all(ready);
-    } else {
-      batcher.collect_expired(now, ready);
+    // This worker leaves to evaluate: wake an idle worker for what is still
+    // queued, or to take over the linger poll.
+    if (!queue_.empty() || (open_ > 0 && !poller_)) ++wake;
+    lock.unlock();
+    for (; wake > 0; --wake) work_ready_.notify_one();
+    for (auto& request : scratch.shed) {
+      Response response;
+      response.outcome = Outcome::kDeadlineExceeded;
+      finish(request, response);
     }
-    dispatch_ready(ready);
-    queue_depth_gauge_->set(static_cast<double>(queue_.depth()));
-    if (!got && queue_.closed() && queue_.depth() == 0) {
-      batcher.flush_all(ready);
-      dispatch_ready(ready);
-      return;
-    }
-  }
-}
-
-void ServeEngine::dispatch_ready(std::vector<Batch>& ready) {
-  if (ready.empty()) return;
-  // Deep backlogs get several batches per pool task so the per-task cost
-  // (allocation, pool mutex, wake-up) amortizes; shallow ones keep one
-  // batch per task so independent evaluations still run in parallel.
-  const std::size_t per_task = std::clamp<std::size_t>(
-      ready.size() / std::max<std::size_t>(1, config_.workers), 1, 8);
-  for (std::size_t begin = 0; begin < ready.size(); begin += per_task) {
-    const std::size_t end = std::min(begin + per_task, ready.size());
-    // The group travels to the worker behind a shared_ptr, so the pool
-    // task is one small closure rather than a copy of every request.
-    auto boxed = std::make_shared<std::vector<Batch>>();
-    boxed->reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) boxed->push_back(std::move(ready[i]));
-    pool_.submit([this, boxed] {
+    scratch.shed.clear();
+    if (!scratch.group.empty()) {
       // Capture the epoch snapshot ONCE per dispatch group: every request in
       // the group evaluates against exactly one epoch's warm state and
       // certificate log, even if advance_epoch runs mid-group.
-      execute_batch_group(*boxed, snapshot());
-    });
+      execute_batch_group(scratch, *snapshot());
+      scratch.group.clear();
+    }
+    lock.lock();
   }
-  ready.clear();
 }
 
-void ServeEngine::execute_batch_group(std::vector<Batch>& group,
-                                      const std::shared_ptr<const Epoch>& snap) {
+std::size_t ServeEngine::sweep(std::unique_lock<std::mutex>& lock,
+                               WorkerScratch& scratch) {
+  if (queue_.empty() && open_ == 0) return 0;
+  // Lingering pays only when another caller asks for the same item
+  // meanwhile.  When this sweep holds every unfinished request and no batch
+  // is open, nobody else is in the engine, so the sweep's batches close at
+  // once and a lone caller never waits for a partner.  `finished` is read
+  // before `submitted_`: a stale read only over-counts the unfinished
+  // requests, so the test can only err toward lingering.
+  const std::uint64_t finished = finished_requests();
+  const bool alone =
+      open_ == 0 &&
+      submitted_.load(std::memory_order_relaxed) - finished == queue_.size();
+  const bool flush = alone || closed_;
+  // The batcher belongs to the sweeping worker until `sweeping_` clears, so
+  // admission and group taking go on while it batches.
+  sweeping_ = true;
+  scratch.swept.swap(queue_);
+  queue_depth_gauge_->set(0.0);
+  lock.unlock();
+  const auto now = Clock::now();
+  const std::uint64_t now_us = clock_->now_us();
+  for (auto& request : scratch.swept) {
+    if (request.expired(now_us)) {
+      scratch.shed.push_back(std::move(request));
+    } else {
+      batcher_.add(std::move(request), now, scratch.ready);
+    }
+  }
+  scratch.swept.clear();
+  if (flush) {
+    batcher_.flush_all(scratch.ready);
+  } else {
+    batcher_.collect_expired(now, scratch.ready);
+  }
+  const std::size_t open = batcher_.pending();
+  lock.lock();
+  sweeping_ = false;
+  open_ = open;
+  // Only a sweep fills `closed_batches_`, and it was empty when this one
+  // began.
+  closed_batches_.swap(scratch.ready);
+  // Deep backlogs go out several batches per group so the per-group cost
+  // amortizes; shallow ones keep one batch per group so independent
+  // evaluations still run in parallel.
+  group_size_ = std::clamp<std::size_t>(
+      closed_batches_.size() / std::max<std::size_t>(1, config_.workers), 1, 8);
+  // Workers that waited out this sweep after drain() must see the end.
+  if (closed_) work_ready_.notify_all();
+  // Every group but the one this worker takes goes to an idle worker.
+  const std::size_t groups =
+      (closed_batches_.size() + group_size_ - 1) / group_size_;
+  return groups > 0 ? groups - 1 : 0;
+}
+
+void ServeEngine::execute_batch_group(WorkerScratch& scratch,
+                                      const Epoch& snap) {
+  std::vector<Batch>& group = scratch.group;
   if (group.empty()) return;
 
   // One lane per batch (a batch is one distinct item plus its requests).
-  std::vector<std::size_t> items;
-  items.reserve(group.size());
+  std::vector<std::size_t>& items = scratch.items;
+  items.clear();
   for (auto& batch : group) {
     batches_.fetch_add(1, std::memory_order_relaxed);
     batched_requests_.fetch_add(batch.requests.size(),
@@ -405,22 +490,17 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
   }
 
   // Stage 1: one shard-grouped cache lookup for the whole group.
-  std::vector<std::optional<AnswerCache::Hit>> cached;
+  auto& cached = scratch.cached;
   cache_.get_batch(items, cached);
 
-  std::vector<Response> responses(group.size());
-  // Witness per lane for certification (cache entry or fresh evaluation).
-  struct LaneWitness {
-    bool has = false;
-    bool large = false;
-    std::int64_t profit = 0;
-    std::int64_t weight = 0;
-  };
-  std::vector<LaneWitness> witnesses(group.size());
+  auto& responses = scratch.responses;
+  responses.assign(group.size(), Response{});
+  auto& witnesses = scratch.witnesses;
+  witnesses.assign(group.size(), WorkerScratch::LaneWitness{});
 
   // Stage 2: hit lanes finish from the cache (zero oracle reads).
-  std::vector<std::size_t> miss_lanes;
-  miss_lanes.reserve(group.size());
+  auto& miss_lanes = scratch.miss_lanes;
+  miss_lanes.clear();
   for (std::size_t lane = 0; lane < group.size(); ++lane) {
     if (!cached[lane].has_value()) {
       miss_lanes.push_back(lane);
@@ -437,9 +517,9 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
     response.epoch_id = hit.generation;
     // Witness for the certificate record: from the cache entry (zero oracle
     // reads), refreshed by a paranoia re-evaluation when one runs.
-    witnesses[lane] = LaneWitness{hit.has_witness, hit.large, hit.profit,
-                                  hit.weight};
-    if (hit.paranoia_due && hit.generation == snap->epoch_id) {
+    witnesses[lane] = WorkerScratch::LaneWitness{hit.has_witness, hit.large,
+                                                 hit.profit, hit.weight};
+    if (hit.paranoia_due && hit.generation == snap.epoch_id) {
       // Live consistency SLO: recompute through the reference
       // `answer_with_witness` and compare.  A mismatch is a reproducibility
       // bug, not staleness; repair the cache (the fresh witness also
@@ -449,15 +529,15 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
       try {
         core::LcaKp::AnswerWitness fresh;
         const bool fresh_answer =
-            snap->lca->answer_with_witness(*snap->run, items[lane], fresh);
+            snap.lca->answer_with_witness(*snap.run, items[lane], fresh);
         cache_.record_paranoia(fresh_answer == hit.answer);
         cache_.put(items[lane],
                    AnswerCache::Entry{fresh.answer, true, fresh.large,
                                       fresh.profit, fresh.weight,
-                                      snap->epoch_id});
+                                      snap.epoch_id});
         response.answer = fresh_answer;
-        witnesses[lane] =
-            LaneWitness{true, fresh.large, fresh.profit, fresh.weight};
+        witnesses[lane] = WorkerScratch::LaneWitness{true, fresh.large,
+                                                     fresh.profit, fresh.weight};
       } catch (...) {
         // The recheck is best-effort; an oracle failure here must not take
         // down an answer we already hold.
@@ -467,36 +547,35 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
 
   // Stage 3: all miss lanes go through one gather+classify.
   if (!miss_lanes.empty()) {
-    std::vector<std::size_t> miss_items;
-    miss_items.reserve(miss_lanes.size());
+    auto& miss_items = scratch.miss_items;
+    miss_items.clear();
     for (const auto lane : miss_lanes) miss_items.push_back(items[lane]);
 
-    static thread_local core::BatchScratch scratch;
+    core::BatchScratch& eval = scratch.eval;
     const auto eval_start = Clock::now();
-    core::BatchEval(*snap->lca, *snap->run).evaluate(miss_items, scratch);
+    core::BatchEval(*snap.lca, *snap.run).evaluate(miss_items, eval);
     batch_eval_us_->observe(std::chrono::duration<double, std::micro>(
                                 Clock::now() - eval_start)
                                 .count());
 
-    std::vector<AnswerCache::PutItem> puts;
-    puts.reserve(miss_lanes.size());
+    auto& puts = scratch.puts;
+    puts.clear();
     for (std::size_t j = 0; j < miss_lanes.size(); ++j) {
       const std::size_t lane = miss_lanes[j];
       Response& response = responses[lane];
-      switch (scratch.status[j]) {
+      switch (eval.status[j]) {
         case core::LaneStatus::kOk: {
-          const bool answer = scratch.answers[j] != 0;
-          const bool large = scratch.large[j] != 0;
+          const bool answer = eval.answers[j] != 0;
+          const bool large = eval.large[j] != 0;
           response.outcome = Outcome::kOk;
           response.answer = answer;
-          response.epoch_id = snap->epoch_id;
-          witnesses[lane] = LaneWitness{true, large, scratch.profits[j],
-                                        scratch.weights[j]};
+          response.epoch_id = snap.epoch_id;
+          witnesses[lane] = WorkerScratch::LaneWitness{
+              true, large, eval.profits[j], eval.weights[j]};
           puts.push_back(AnswerCache::PutItem{
               items[lane], AnswerCache::Entry{answer, true, large,
-                                              scratch.profits[j],
-                                              scratch.weights[j],
-                                              snap->epoch_id}});
+                                              eval.profits[j], eval.weights[j],
+                                              snap.epoch_id}});
           break;
         }
         case core::LaneStatus::kUnavailable:
@@ -508,8 +587,8 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
           // Definition 2.3 answers.
           if (config_.degrade) {
             response.outcome = Outcome::kDegraded;
-            response.answer = degraded_answer(*snap, items[lane]);
-            response.epoch_id = snap->epoch_id;
+            response.answer = degraded_answer(snap, items[lane]);
+            response.epoch_id = snap.epoch_id;
           } else {
             response.outcome = Outcome::kError;
           }
@@ -527,13 +606,13 @@ void ServeEngine::execute_batch_group(std::vector<Batch>& group,
   const std::uint64_t now_us = clock_->now_us();
   for (std::size_t lane = 0; lane < group.size(); ++lane) {
     const Response& response = responses[lane];
-    if (snap->cert_log != nullptr && response.outcome == Outcome::kOk) {
-      const LaneWitness& w = witnesses[lane];
+    if (snap.cert_log != nullptr && response.outcome == Outcome::kOk) {
+      const WorkerScratch::LaneWitness& w = witnesses[lane];
       if (w.has) {
-        certify_answer(*snap, items[lane], w.large, w.profit, w.weight,
+        certify_answer(snap, items[lane], w.large, w.profit, w.weight,
                        response.answer);
       } else {
-        snap->cert_log->skip();
+        snap.cert_log->skip();
       }
     }
     for (auto& request : group[lane].requests) {
@@ -573,10 +652,15 @@ bool ServeEngine::degraded_answer(const Epoch& snap,
 
 void ServeEngine::drain() {
   std::call_once(drain_once_, [this] {
-    queue_.close();
-    if (dispatcher_.joinable()) dispatcher_.join();
-    pool_.wait_idle();
-    // All workers are idle: seal EVERY epoch's active certificate segment
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      closed_ = true;
+    }
+    work_ready_.notify_all();
+    // Each worker leaves once the queue, the batcher and the closed groups
+    // are empty, so every admitted request has finished when these return.
+    for (auto& worker : workers_) worker.join();
+    // All workers have exited: seal EVERY epoch's active certificate segment
     // atomically, not just the current one — an advance mid-run must not
     // orphan the previous epoch's tail records.
     std::lock_guard<std::mutex> lock(epoch_mutex_);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -15,12 +16,10 @@
 #include "metrics/metrics.h"
 #include "serve/answer_cache.h"
 #include "serve/batcher.h"
-#include "serve/request_queue.h"
-#include "util/thread_pool.h"
 #include "util/virtual_clock.h"
 
 /// \file engine.h
-/// The concurrent serving engine: queue → batcher → worker pool → cache.
+/// The concurrent serving engine: bounded queue → batcher → workers → cache.
 ///
 /// This engine is the request path the paper's model promises is possible:
 /// per-query work independent of n and of the query interleaving.  One
@@ -31,18 +30,30 @@
 /// replica of Definition 2.3.
 ///
 /// Request lifecycle:
-///   submit() ── admission ──> RequestQueue (bounded; full ⇒ kOverloaded)
-///            ── dispatcher ─> Batcher (group by item; close on size or
+///   submit() ── admission ──> bounded queue (full or drained ⇒ kOverloaded)
+///   a free worker, which first takes a closed dispatch group if one waits,
+///   else sweeps:
+///            ── sweep ──────> Batcher (group by item; close on size or
 ///                             linger; a sweep that holds every unfinished
-///                             request, with no batch open, closes at once)
-///            ── ThreadPool ─> execute_batch_group, once per dispatch group
+///                             request, with no batch open, closes at once);
+///                             the closed batches are cut into dispatch
+///                             groups, the sweeper keeps one and wakes one
+///                             idle worker per group left over
+///            ── evaluate ───> execute_batch_group, once per dispatch group
 ///                             of batches (a group of one is just a group):
 ///                             one shard-grouped AnswerCache get → the
 ///                             misses through `core::BatchEval` (one oracle
 ///                             read per miss, classified by LcaKp's own
 ///                             lines 20-24) → one cache put → complete
 ///                             every request
-/// Deadlines are checked at dispatch and again at evaluation; expired
+/// Any worker may answer any request: every answer is a function of the
+/// shared seed and the item alone (Definition 2.3), so a request changes
+/// threads only on its way in and, through its callback, on its way out.
+/// One engine mutex guards the queue and the closed groups and hands the
+/// batcher to one sweeping worker at a time, which batches with the mutex
+/// released; no completion callback runs while it is held.  While a batch
+/// is open, exactly one idle worker polls its linger; an idle engine sleeps.
+/// Deadlines are checked at the sweep and again at evaluation; expired
 /// requests are shed with kDeadlineExceeded.  `drain()` closes admission,
 /// flushes the batcher, and completes every in-flight request — an admitted
 /// request is never lost.
@@ -68,16 +79,18 @@
 namespace lcaknap::serve {
 
 struct EngineConfig {
-  /// Evaluation workers (the engine owns its `util::ThreadPool`).
+  /// Worker threads; each sweeps the queue and evaluates (0 counts as 1).
   std::size_t workers = 4;
   /// Admission bound: requests beyond this backlog are rejected kOverloaded.
+  /// A request waits here while every worker is busy, so the engine never
+  /// buffers more than this unswept.
   std::size_t queue_capacity = 1024;
   BatcherConfig batcher;
   AnswerCacheConfig cache;
   /// Deadline applied by `submit(item)`; 0 = no deadline (negative values
   /// are honoured as already-expired, which tests use to force shedding).
   std::chrono::microseconds default_deadline{0};
-  /// The clock request deadlines are checked against (submission, dispatch,
+  /// The clock request deadlines are checked against (submission, sweep,
   /// and evaluation all read `clock->now_us()`).  Null means the process
   /// `util::system_clock()`.  Injecting a `util::VirtualClock` makes
   /// deadline shedding deterministic for wire-level timeout tests: a
@@ -160,7 +173,7 @@ struct EngineStats {
 
 class ServeEngine {
  public:
-  /// Executes the warm-up pipeline run and starts the dispatcher + workers.
+  /// Executes the warm-up pipeline run and starts the workers.
   /// `lca` (and the access object behind it) must outlive the engine.
   ServeEngine(const core::LcaKp& lca, const EngineConfig& config,
               metrics::Registry& registry = metrics::global_registry());
@@ -190,7 +203,7 @@ class ServeEngine {
   [[nodiscard]] Response submit_wait(std::size_t item);
 
   /// Stops admission, completes everything already admitted, and joins the
-  /// dispatcher.  Subsequent submits are rejected kOverloaded.  Idempotent.
+  /// workers.  Subsequent submits are rejected kOverloaded.  Idempotent.
   void drain();
 
   /// Epoch advance (dynamic instances, src/dyn): atomically replaces the
@@ -227,7 +240,8 @@ class ServeEngine {
   /// The current epoch's certificate log writer, or nullptr when `certify`
   /// is off.
   [[nodiscard]] const cert::CertLog* cert_log() const;
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
+  /// Requests admitted but not yet swept into the batcher.
+  [[nodiscard]] std::size_t queue_depth() const;
 
  private:
   /// Everything an evaluation consults, frozen per epoch.  Workers capture
@@ -250,23 +264,27 @@ class ServeEngine {
   /// negative values land at "now" (already expired).
   [[nodiscard]] std::uint64_t deadline_from(
       std::chrono::microseconds deadline) const;
+  /// One worker's reusable buffers (engine.cpp).
+  struct WorkerScratch;
+
   /// The one admission path; completes the request kOverloaded when the
-  /// bounded queue refuses it.
+  /// bounded queue is full or closed.
   void admit(std::size_t item, std::uint64_t deadline_us,
              CompletionCallback callback);
-  void dispatch_loop();
-  /// Hands `ready` to the worker pool, grouping several batches per pool
-  /// task when the backlog is deep (amortizes per-task overhead) while
-  /// keeping one-batch tasks when it is shallow (preserves parallelism).
-  void dispatch_ready(std::vector<Batch>& ready);
-  /// The one answer path: evaluates a dispatch group (one or more batches)
+  /// Every worker's loop: take a waiting dispatch group, or sweep, or wait.
+  void work();
+  /// Swaps the queue out and, with `mutex_` released, files it into the
+  /// batcher (expired requests go to `scratch.shed`); then publishes what
+  /// closed as `closed_batches_` and sets `group_size_`.  Called with
+  /// `lock` held; returns the number of groups left for other workers.
+  std::size_t sweep(std::unique_lock<std::mutex>& lock, WorkerScratch& scratch);
+  /// The one answer path: evaluates `scratch.group` (one or more batches)
   /// with one `get_batch`, one `core::BatchEval` gather+classify over the
   /// misses, and one `put_batch`, then finishes every request.  One
   /// evaluation serves a whole batch: its requests all ask about the same
   /// item, and the answer is a deterministic function of the shared seed
   /// (Definition 2.3).
-  void execute_batch_group(std::vector<Batch>& group,
-                           const std::shared_ptr<const Epoch>& snap);
+  void execute_batch_group(WorkerScratch& scratch, const Epoch& snap);
   void finish(Request& request, const Response& response);
   /// Requests finish() has counted, under any outcome.
   [[nodiscard]] std::uint64_t finished_requests() const noexcept;
@@ -317,9 +335,30 @@ class ServeEngine {
   /// epoch's certificate log is sealed at drain.
   std::vector<std::shared_ptr<const Epoch>> epochs_;
 
-  RequestQueue queue_;
   AnswerCache cache_;
-  util::ThreadPool pool_;
+
+  /// Guards everything down to `poller_`, and hands `batcher_` to one
+  /// sweeping worker at a time; never held across an evaluation or a
+  /// completion callback.
+  mutable std::mutex mutex_;
+  /// Wakes idle workers: a request was admitted, a group was left over, the
+  /// linger poll needs a new owner, or admission closed.
+  std::condition_variable work_ready_;
+  /// Admitted requests not yet swept, oldest first; at most `capacity_`.
+  std::vector<Request> queue_;
+  const std::size_t capacity_;
+  bool closed_ = false;
+  /// A worker is sweeping: it alone touches `batcher_` until this clears.
+  bool sweeping_ = false;
+  /// Requests in the batcher's open batches as of the last sweep.
+  std::size_t open_ = 0;
+  /// Batches one sweep closed, taken `group_size_` at a time.  A worker
+  /// sweeps only when this is empty, so all of them come from one sweep.
+  std::vector<Batch> closed_batches_;
+  std::size_t group_size_ = 1;
+  /// An idle worker is waiting out the linger poll period.
+  bool poller_ = false;
+  Batcher batcher_;
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> ok_{0};
@@ -330,7 +369,7 @@ class ServeEngine {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
   std::once_flag drain_once_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 /// Bucket bounds for `serve_request_latency_us` (end-to-end spans: admission

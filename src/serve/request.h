@@ -12,11 +12,11 @@
 /// The paper's LCA model is a serving contract: independent replicas answer
 /// point queries "is item i in the solution?" consistently from a shared
 /// seed (Definition 2.3).  The engine makes that contract operational — a
-/// request is one membership query travelling queue → batcher → worker →
-/// cache, and its `Response` reports both the answer and the admission
-/// outcome (a production serving path may legitimately say "no capacity"
-/// or "too late" instead of an answer; it must never say two different
-/// answers for the same item).
+/// request is one membership query travelling queue → batcher → cache on
+/// the worker that swept it, and its `Response` reports both the answer and
+/// the admission outcome (a production serving path may legitimately say
+/// "no capacity" or "too late" instead of an answer; it must never say two
+/// different answers for the same item).
 ///
 /// Completion travels back one way: the request's completion callback,
 /// invoked exactly once for every submitted request.  The network front-end
@@ -75,10 +75,9 @@ struct Response {
 };
 
 /// How a completed request reaches its submitter on the callback path.  May
-/// be invoked from any engine thread (worker, dispatcher, or the submitting
-/// thread itself for admission rejections); it must not block and must not
-/// throw (a throwing callback is swallowed, never allowed to take down a
-/// worker).
+/// be invoked from any engine worker, or from the submitting thread itself
+/// for admission rejections; it must not block and must not throw (a
+/// throwing callback is swallowed, never allowed to take down a worker).
 using CompletionCallback = std::function<void(const Response&)>;
 
 /// One in-flight membership query.

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <vector>
 
 #include "core/batch_eval.h"
 #include "core/lca_kp.h"
 #include "knapsack/generators.h"
+#include "metrics/metrics.h"
 #include "oracle/access.h"
+#include "serve/engine.h"
 #include "serve/request.h"
 
 /// Counting-allocator pin for the allocation-lean hot path: once the warm-up
@@ -149,9 +153,9 @@ TEST(QueryAllocation, WarmupBytesDoNotGrowWithQuantileSamples) {
 }
 
 TEST(QueryAllocation, CallbackPathRequestAllocatesNothing) {
-  // The engine builds one serve::Request per submit and one per dispatcher
-  // poll.  It carries only its completion callback, and a callback that
-  // captures one pointer fits std::function's small buffer.
+  // The engine builds one serve::Request per submit.  It carries only its
+  // completion callback, and a callback that captures one pointer fits
+  // std::function's small buffer.
   int completed = 0;
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   {
@@ -163,6 +167,61 @@ TEST(QueryAllocation, CallbackPathRequestAllocatesNothing) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "a callback-path request allocated";
   EXPECT_EQ(completed, 1);
+}
+
+TEST(QueryAllocation, EnginePathAllocationsPerRequestArePinned) {
+  const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 5'000, 9);
+  const oracle::MaterializedAccess access(inst);
+  LcaKpConfig config;
+  config.eps = 0.2;
+  config.quantile_samples = 40'000;
+  const LcaKp lca(access, config);
+  metrics::Registry registry;
+  serve::EngineConfig engine_config;
+  engine_config.workers = 1;
+  engine_config.warmup_threads = 1;
+  // One full shard: after the first 64 items every miss evicts one entry,
+  // so the cache neither grows nor rehashes while the count runs.
+  engine_config.cache.capacity = 64;
+  engine_config.cache.shards = 1;
+  serve::ServeEngine engine(lca, engine_config, registry);
+
+  struct Done {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t count = 0;
+  } done;
+  // Lone callback-path requests: each is submitted after the previous one
+  // completed, so every request is its own sweep, batch and group.
+  const auto ask = [&engine, &done](std::size_t item) {
+    std::unique_lock<std::mutex> lock(done.mutex);
+    const std::size_t target = done.count + 1;
+    lock.unlock();
+    engine.submit(item, [d = &done](const serve::Response&) {
+      const std::lock_guard<std::mutex> guard(d->mutex);
+      ++d->count;
+      d->cv.notify_one();
+    });
+    lock.lock();
+    done.cv.wait(lock, [&] { return done.count >= target; });
+  };
+  for (std::size_t item = 0; item < 64; ++item) ask(item);
+
+  // Each request below misses the cache, reads the oracle once and evicts
+  // one entry.  The worker's scratch serves every evaluation.  What is left
+  // is 2 in the batcher (the open batch's map node and request vector) and
+  // 7 in the cache (get_batch and put_batch each build a shard-order vector
+  // and stable_sort it through a temporary buffer, get_batch reserves its
+  // hit list, and the insert allocates a list node and an index node).
+  constexpr std::size_t kRequests = 1'000;
+  constexpr std::uint64_t kPerRequest = 9;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t q = 0; q < kRequests; ++q) ask(64 + q);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LE(after - before, kPerRequest * kRequests)
+      << (after - before) << " allocations for " << kRequests << " requests";
+  engine.drain();
+  EXPECT_EQ(engine.stats().ok, 64 + kRequests);
 }
 
 TEST(QueryAllocation, CounterSeesAllocations) {
