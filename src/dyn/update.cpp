@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 #include "store/snapshot.h"
 
@@ -233,13 +234,24 @@ std::vector<UpdateBatch> load_epoch_log(const std::string& path) {
 
 knapsack::Instance apply_batch(const knapsack::Instance& base,
                                const UpdateBatch& batch) {
-  std::vector<knapsack::Item> items(base.items().begin(), base.items().end());
+  // The batch folds into one write per touched base item plus the appended
+  // tail, so the next instance clones only the chunks the batch touches.
+  std::vector<knapsack::Instance::ItemWrite> writes;
+  std::unordered_map<std::size_t, std::size_t> write_slot;  // index -> writes
+  std::vector<knapsack::Item> appended;
+  const auto target = [&](std::size_t index) -> knapsack::Item& {
+    if (index >= base.size()) return appended[index - base.size()];
+    const auto [it, fresh] = write_slot.try_emplace(index, writes.size());
+    if (fresh) writes.push_back({index, base.item(index)});
+    return writes[it->second].item;
+  };
   const auto check_index = [&](const Mutation& m) {
-    if (m.index >= items.size()) {
+    const std::size_t n = base.size() + appended.size();
+    if (m.index >= n) {
       throw std::invalid_argument(
           "apply_batch: epoch " + std::to_string(batch.epoch_id) + " " +
           mutation_kind_name(m.kind) + " index " + std::to_string(m.index) +
-          " out of range (n=" + std::to_string(items.size()) + ")");
+          " out of range (n=" + std::to_string(n) + ")");
     }
   };
   const auto check_value = [&](const Mutation& m, std::int64_t value,
@@ -255,26 +267,26 @@ knapsack::Instance apply_batch(const knapsack::Instance& base,
       case MutationKind::kInsert:
         check_value(m, m.profit, "profit");
         check_value(m, m.weight, "weight");
-        items.push_back(knapsack::Item{m.profit, m.weight});
+        appended.push_back(knapsack::Item{m.profit, m.weight});
         break;
       case MutationKind::kDelete:
         check_index(m);
-        items[m.index] = knapsack::Item{0, 0};  // tombstone, indices stable
+        target(m.index) = knapsack::Item{0, 0};  // tombstone, indices stable
         break;
       case MutationKind::kProfitUpdate:
         check_index(m);
         check_value(m, m.profit, "profit");
-        items[m.index].profit = m.profit;
+        target(m.index).profit = m.profit;
         break;
       case MutationKind::kWeightUpdate:
         check_index(m);
         check_value(m, m.weight, "weight");
-        items[m.index].weight = m.weight;
+        target(m.index).weight = m.weight;
         break;
     }
   }
   try {
-    return knapsack::Instance(std::move(items), base.capacity());
+    return base.with_changes(writes, appended);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(
         "apply_batch: epoch " + std::to_string(batch.epoch_id) +

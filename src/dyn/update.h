@@ -107,9 +107,11 @@ class EpochLogParseError : public std::invalid_argument {
 [[nodiscard]] std::vector<UpdateBatch> load_epoch_log(const std::string& path);
 
 /// Applies a batch, returning the mutated instance (the input is untouched).
-/// Out-of-range indices, negative values, or mutations that violate the
-/// Instance invariants (e.g. a weight above the capacity, or tombstoning the
-/// last positive-profit item) throw std::invalid_argument.
+/// The result shares every storage chunk of `base` that the batch does not
+/// touch (`knapsack::Instance::with_changes`).  Out-of-range indices,
+/// negative values, or mutations that violate the Instance invariants (e.g. a
+/// weight above the capacity, or tombstoning the last positive-profit item)
+/// throw std::invalid_argument.
 [[nodiscard]] knapsack::Instance apply_batch(const knapsack::Instance& base,
                                              const UpdateBatch& batch);
 

@@ -13,7 +13,9 @@ Solution fptas(const Instance& instance, double eps, std::size_t cell_limit) {
     throw std::invalid_argument("fptas: eps must be in (0, 1)");
   }
   std::int64_t p_max = 0;
-  for (const auto& it : instance.items()) p_max = std::max(p_max, it.profit);
+  for (std::size_t i = 0; i < instance.size(); ++i) {
+    p_max = std::max(p_max, instance.item(i).profit);
+  }
   const double mu =
       eps * static_cast<double>(p_max) / static_cast<double>(instance.size());
   if (mu <= 1.0) {
@@ -23,7 +25,8 @@ Solution fptas(const Instance& instance, double eps, std::size_t cell_limit) {
   std::vector<Item> scaled;
   scaled.reserve(instance.size());
   bool any_positive = false;
-  for (const auto& it : instance.items()) {
+  for (std::size_t i = 0; i < instance.size(); ++i) {
+    const Item& it = instance.item(i);
     Item s;
     s.profit = static_cast<std::int64_t>(
         std::floor(static_cast<double>(it.profit) / mu));

@@ -115,11 +115,21 @@ class InstanceAccess {
 };
 
 /// Access backed by an in-memory Instance; weighted sampling via an alias
-/// table over the profits (O(1) per draw).
+/// table over the profits (O(1) per draw).  The table is immutable and held
+/// by shared pointer, so accesses over instances with the same profit vector
+/// (consecutive epochs of a weight-only update, src/dyn) can share one.
 class MaterializedAccess final : public InstanceAccess {
  public:
-  /// The instance must outlive this access object.
+  /// Builds the alias table over the instance's profits.  The instance must
+  /// outlive this access object.
   explicit MaterializedAccess(const knapsack::Instance& instance);
+  /// Samples through `table_owner`'s alias table instead of building one.
+  /// The caller promises that `instance` has the same profit vector as
+  /// `table_owner`'s instance; only the item count is checked (throws
+  /// std::invalid_argument on a mismatch).  Draws are then exactly those a
+  /// freshly built table would give.
+  MaterializedAccess(const knapsack::Instance& instance,
+                     const MaterializedAccess& table_owner);
 
   [[nodiscard]] std::size_t size() const noexcept override;
   [[nodiscard]] std::int64_t capacity() const noexcept override;
@@ -132,7 +142,7 @@ class MaterializedAccess final : public InstanceAccess {
 
  private:
   const knapsack::Instance* instance_;
-  util::AliasSampler sampler_;
+  std::shared_ptr<const util::AliasSampler> sampler_;
 };
 
 }  // namespace lcaknap::oracle

@@ -13,6 +13,16 @@ std::size_t round_up_pow2(std::size_t x) {
   return p;
 }
 
+/// (shard, position) pairs of one batch call, reused per thread so a batch
+/// allocates nothing once the buffer has reached its high-water size.
+/// Positions in a batch are distinct, so sorting the pairs orders them by
+/// shard and keeps each shard's positions in request order.
+std::vector<std::pair<std::size_t, std::size_t>>& shard_order() {
+  static thread_local std::vector<std::pair<std::size_t, std::size_t>> order;
+  order.clear();
+  return order;
+}
+
 }  // namespace
 
 AnswerCache::AnswerCache(const AnswerCacheConfig& config,
@@ -139,21 +149,18 @@ void AnswerCache::get_batch(std::span<const std::size_t> items,
     misses_total_->inc(items.size());
     return;
   }
-  // Group lanes by shard (stable sort keeps same-shard lanes in request
-  // order), then visit each shard's group under one lock acquisition.
-  std::vector<std::pair<std::size_t, std::size_t>> by_shard;  // (shard, lane)
-  by_shard.reserve(items.size());
+  // Group lanes by shard, then visit each shard's group under one lock
+  // acquisition.
+  auto& by_shard = shard_order();  // (shard, lane)
   const std::size_t mask = shards_.size() - 1;
   for (std::size_t l = 0; l < items.size(); ++l) {
     by_shard.emplace_back(util::mix64(static_cast<std::uint64_t>(items[l])) & mask, l);
   }
-  std::stable_sort(by_shard.begin(), by_shard.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(by_shard.begin(), by_shard.end());
 
-  // Hit lanes in visit order; the entry copy is taken under the lock, the
-  // hit numbers are claimed afterwards in one block.
-  std::vector<std::pair<std::size_t, Entry>> hit_lanes;
-  hit_lanes.reserve(items.size());
+  // Entries are copied out under the lock; the hit numbers are claimed
+  // afterwards in one block.
+  std::size_t hit_count = 0;
   std::size_t miss_count = 0;
   const std::uint64_t current = generation_.load(std::memory_order_acquire);
 
@@ -176,7 +183,15 @@ void AnswerCache::get_batch(std::span<const std::size_t> items,
         continue;
       }
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hit_lanes.emplace_back(lane, it->second->second);
+      const Entry& entry = it->second->second;
+      Hit& hit = out[lane].emplace();
+      hit.answer = entry.answer;
+      hit.has_witness = entry.has_witness;
+      hit.large = entry.large;
+      hit.profit = entry.profit;
+      hit.weight = entry.weight;
+      hit.generation = entry.generation;
+      ++hit_count;
     }
   }
 
@@ -184,24 +199,19 @@ void AnswerCache::get_batch(std::span<const std::size_t> items,
     misses_.fetch_add(miss_count, std::memory_order_relaxed);
     misses_total_->inc(miss_count);
   }
-  if (!hit_lanes.empty()) {
+  if (hit_count > 0) {
     // Claim hit numbers base+1 .. base+k as one block: the batch produces
     // exactly the paranoia-due count k single `get` calls would have.
-    const auto base = hits_.fetch_add(hit_lanes.size(), std::memory_order_relaxed);
-    hits_total_->inc(hit_lanes.size());
-    for (std::size_t j = 0; j < hit_lanes.size(); ++j) {
-      const auto hit_no = base + j + 1;
-      const auto& [lane, entry] = hit_lanes[j];
-      Hit hit;
-      hit.answer = entry.answer;
-      hit.paranoia_due = config_.paranoia_every > 0 &&
-                         hit_no % config_.paranoia_every == 0;
-      hit.has_witness = entry.has_witness;
-      hit.large = entry.large;
-      hit.profit = entry.profit;
-      hit.weight = entry.weight;
-      hit.generation = entry.generation;
-      out[lane] = hit;
+    const auto base = hits_.fetch_add(hit_count, std::memory_order_relaxed);
+    hits_total_->inc(hit_count);
+    if (config_.paranoia_every > 0) {
+      // Number the hits in visit order.
+      std::uint64_t hit_no = base;
+      for (const auto& [shard_id, lane] : by_shard) {
+        if (out[lane]) {
+          out[lane]->paranoia_due = ++hit_no % config_.paranoia_every == 0;
+        }
+      }
     }
   }
 }
@@ -209,8 +219,7 @@ void AnswerCache::get_batch(std::span<const std::size_t> items,
 void AnswerCache::put_batch(std::span<const PutItem> puts) {
   if (config_.capacity == 0 || puts.empty()) return;
   const std::uint64_t current = generation_.load(std::memory_order_acquire);
-  std::vector<std::pair<std::size_t, std::size_t>> by_shard;  // (shard, idx)
-  by_shard.reserve(puts.size());
+  auto& by_shard = shard_order();  // (shard, index into puts)
   const std::size_t mask = shards_.size() - 1;
   for (std::size_t i = 0; i < puts.size(); ++i) {
     if (puts[i].entry.generation != current) continue;  // superseded epoch
@@ -218,8 +227,7 @@ void AnswerCache::put_batch(std::span<const PutItem> puts) {
         util::mix64(static_cast<std::uint64_t>(puts[i].item)) & mask, i);
   }
   if (by_shard.empty()) return;
-  std::stable_sort(by_shard.begin(), by_shard.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(by_shard.begin(), by_shard.end());
 
   std::size_t evicted = 0;
   std::size_t g = 0;

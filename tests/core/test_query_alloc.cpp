@@ -10,6 +10,8 @@
 
 #include "core/batch_eval.h"
 #include "core/lca_kp.h"
+#include "dyn/epoch_state.h"
+#include "dyn/update.h"
 #include "knapsack/generators.h"
 #include "metrics/metrics.h"
 #include "oracle/access.h"
@@ -208,13 +210,12 @@ TEST(QueryAllocation, EnginePathAllocationsPerRequestArePinned) {
   for (std::size_t item = 0; item < 64; ++item) ask(item);
 
   // Each request below misses the cache, reads the oracle once and evicts
-  // one entry.  The worker's scratch serves every evaluation.  What is left
+  // one entry.  The worker's scratch serves every evaluation, and the
+  // cache's batch calls sort in a reused per-thread buffer.  What is left
   // is 2 in the batcher (the open batch's map node and request vector) and
-  // 7 in the cache (get_batch and put_batch each build a shard-order vector
-  // and stable_sort it through a temporary buffer, get_batch reserves its
-  // hit list, and the insert allocates a list node and an index node).
+  // 2 in the cache (the insert's LRU list node and index node).
   constexpr std::size_t kRequests = 1'000;
-  constexpr std::uint64_t kPerRequest = 9;
+  constexpr std::uint64_t kPerRequest = 4;
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (std::size_t q = 0; q < kRequests; ++q) ask(64 + q);
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
@@ -222,6 +223,43 @@ TEST(QueryAllocation, EnginePathAllocationsPerRequestArePinned) {
       << (after - before) << " allocations for " << kRequests << " requests";
   engine.drain();
   EXPECT_EQ(engine.stats().ok, 64 + kRequests);
+}
+
+TEST(QueryAllocation, DeltaAdvanceBytesDoNotGrowWithN) {
+  // A delta epoch shares the base epoch's alias table and every instance
+  // chunk its batch does not touch, so one advance of a fixed batch requests
+  // bytes for what the batch changed plus the replay's fixed working set.
+  // The one term left that grows with n is the chunk table (one shared
+  // pointer per Instance::kChunkItems items); a copied instance, profit
+  // vector and alias table would make it grow tenfold.
+  const auto advance_bytes = [](std::size_t n) {
+    dyn::EpochConfig config;
+    config.lca.eps = 0.25;
+    config.lca.quantile_samples = 20'000;
+    config.tape_seed = 3;
+    config.warmup_threads = 1;
+    metrics::Registry registry;
+    dyn::EpochedState state(
+        knapsack::make_family(knapsack::Family::kUncorrelated, n, 8), config,
+        registry);
+    const knapsack::Instance& base = *state.current()->instance;
+    dyn::UpdateBatch batch;
+    batch.epoch_id = 1;
+    for (std::size_t k = 0; k < 32; ++k) {
+      const std::size_t index = k * 311;
+      batch.mutations.push_back({dyn::MutationKind::kWeightUpdate, index, 0,
+                                 base.item(index + 1).weight});
+    }
+    const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+    const dyn::AdvanceReport report = state.advance(batch);
+    const std::uint64_t after = g_bytes.load(std::memory_order_relaxed);
+    EXPECT_TRUE(report.delta) << report.reason;
+    return after - before;
+  };
+  const std::uint64_t small = advance_bytes(20'000);
+  const std::uint64_t large = advance_bytes(200'000);
+  EXPECT_LT(large, 3 * small)
+      << "n = 20k requested " << small << " B, n = 200k requested " << large << " B";
 }
 
 TEST(QueryAllocation, CounterSeesAllocations) {

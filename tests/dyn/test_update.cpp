@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "knapsack/instance.h"
+#include "util/rng.h"
 
 namespace lcaknap::dyn {
 namespace {
@@ -198,18 +199,134 @@ TEST(ApplyBatch, InsertAppendsAndDeleteTombstones) {
 
 TEST(ApplyBatch, RejectsInvalidMutations) {
   const auto base = small_instance();
+  const auto expect_base_unchanged = [&base] {
+    const auto fresh = small_instance();
+    ASSERT_EQ(base.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(base.item(i), fresh.item(i)) << "item " << i;
+    }
+    EXPECT_EQ(base.total_profit(), fresh.total_profit());
+    EXPECT_EQ(base.total_weight(), fresh.total_weight());
+  };
   UpdateBatch batch;
   batch.epoch_id = 1;
   batch.mutations.push_back({MutationKind::kDelete, 99, 0, 0});
   EXPECT_THROW((void)apply_batch(base, batch), std::invalid_argument);
+  expect_base_unchanged();
 
   batch.mutations = {{MutationKind::kProfitUpdate, 0, -1, 0}};
   EXPECT_THROW((void)apply_batch(base, batch), std::invalid_argument);
+  expect_base_unchanged();
 
   // A weight above the capacity violates the Definition 2.2 convention the
   // Instance constructor enforces.
   batch.mutations = {{MutationKind::kWeightUpdate, 0, 0, 11}};
   EXPECT_THROW((void)apply_batch(base, batch), std::invalid_argument);
+  expect_base_unchanged();
+
+  // Valid writes to the base's chunk come first; the last one fails.
+  batch.mutations = {{MutationKind::kWeightUpdate, 1, 0, 1},
+                     {MutationKind::kDelete, 2, 0, 0},
+                     {MutationKind::kInsert, 0, 5, 5},
+                     {MutationKind::kWeightUpdate, 5, 0, 11}};
+  EXPECT_THROW((void)apply_batch(base, batch), std::invalid_argument);
+  expect_base_unchanged();
+}
+
+TEST(ApplyBatch, MatchesAFullCopyOnRandomBatches) {
+  // Each epoch is checked against a plain item vector that applies the same
+  // mutations; the instances of earlier epochs must stay as they were while
+  // later epochs clone and extend the chunks they share.
+  constexpr std::int64_t kCapacity = 1'000;
+  util::Xoshiro256 rng(2024);
+  const auto random_item = [&rng] {
+    return knapsack::Item{1 + static_cast<std::int64_t>(rng.next_below(100)),
+                          static_cast<std::int64_t>(rng.next_below(kCapacity + 1))};
+  };
+  std::vector<knapsack::Item> reference;
+  for (std::size_t i = 0; i < 3 * knapsack::Instance::kChunkItems + 10; ++i) {
+    reference.push_back(random_item());
+  }
+  std::vector<knapsack::Instance> epochs;
+  std::vector<std::vector<knapsack::Item>> references;
+  epochs.emplace_back(reference, kCapacity);
+  references.push_back(reference);
+
+  const auto expect_equal = [](const knapsack::Instance& inst,
+                               const std::vector<knapsack::Item>& items,
+                               std::size_t epoch) {
+    ASSERT_EQ(inst.size(), items.size()) << "epoch " << epoch;
+    std::int64_t profit = 0;
+    std::int64_t weight = 0;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      ASSERT_EQ(inst.item(i), items[i]) << "epoch " << epoch << " item " << i;
+      profit += items[i].profit;
+      weight += items[i].weight;
+    }
+    EXPECT_EQ(inst.total_profit(), profit) << "epoch " << epoch;
+    EXPECT_EQ(inst.total_weight(), weight == 0 ? 1 : weight) << "epoch " << epoch;
+  };
+
+  for (std::uint64_t epoch = 1; epoch <= 40; ++epoch) {
+    UpdateBatch batch;
+    batch.epoch_id = epoch;
+    // A few indices recur within the batch.
+    std::vector<std::size_t> hot;
+    for (int h = 0; h < 3; ++h) {
+      hot.push_back(static_cast<std::size_t>(rng.next_below(reference.size())));
+    }
+    // Every fourth epoch inserts past the next chunk boundary.
+    const std::size_t inserts =
+        epoch % 4 == 0 ? knapsack::Instance::kChunkItems + 5 : rng.next_below(3);
+    const std::size_t edits = 1 + rng.next_below(30);
+    std::vector<MutationKind> kinds(inserts, MutationKind::kInsert);
+    for (std::size_t e = 0; e < edits; ++e) {
+      const auto pick = rng.next_below(10);
+      kinds.push_back(pick < 4   ? MutationKind::kWeightUpdate
+                      : pick < 8 ? MutationKind::kProfitUpdate
+                                 : MutationKind::kDelete);
+    }
+    // Shuffle so edits may target items inserted earlier in the batch.
+    for (std::size_t k = kinds.size(); k > 1; --k) {
+      std::swap(kinds[k - 1], kinds[rng.next_below(k)]);
+    }
+    for (const auto kind : kinds) {
+      Mutation m;
+      m.kind = kind;
+      if (kind == MutationKind::kInsert) {
+        const auto item = random_item();
+        m.profit = item.profit;
+        m.weight = item.weight;
+        reference.push_back(item);
+        batch.mutations.push_back(m);
+        continue;
+      }
+      m.index = rng.next_below(4) == 0
+                    ? hot[rng.next_below(hot.size())]
+                    : static_cast<std::size_t>(rng.next_below(reference.size()));
+      const auto item = random_item();
+      switch (kind) {
+        case MutationKind::kWeightUpdate:
+          m.weight = item.weight;
+          reference[m.index].weight = m.weight;
+          break;
+        case MutationKind::kProfitUpdate:
+          m.profit = item.profit;
+          reference[m.index].profit = m.profit;
+          break;
+        default:
+          reference[m.index] = knapsack::Item{0, 0};
+          break;
+      }
+      batch.mutations.push_back(m);
+    }
+    epochs.push_back(apply_batch(epochs.back(), batch));
+    references.push_back(reference);
+    expect_equal(epochs.back(), reference, epoch);
+  }
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    expect_equal(epochs[e], references[e], e);
+  }
 }
 
 TEST(ApplyBatch, RejectsTombstoningAllProfit) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 namespace lcaknap::knapsack {
 namespace {
@@ -47,6 +49,37 @@ TEST(Instance, AllZeroWeightsNormalizeSafely) {
   const Instance inst({{1, 0}, {2, 0}}, 3);
   EXPECT_GT(inst.total_weight(), 0);
   EXPECT_TRUE(std::isfinite(inst.norm_capacity()));
+}
+
+TEST(Instance, WithChangesKeepsTheAllZeroWeightRuleExact) {
+  // The raw weight sum is kept beside the reported total, so zeroing the
+  // last weight reports 1 and restoring a weight reports the weight again.
+  const Instance inst({{1, 0}, {2, 5}}, 5);
+  const std::vector<Instance::ItemWrite> zero{{1, {2, 0}}};
+  const Instance all_zero = inst.with_changes(zero, {});
+  EXPECT_EQ(all_zero.total_weight(), 1);
+  const std::vector<Instance::ItemWrite> three{{0, {1, 3}}};
+  const Instance restored = all_zero.with_changes(three, {});
+  EXPECT_EQ(restored.total_weight(), 3);
+  EXPECT_EQ(restored.total_profit(), 3);
+  EXPECT_EQ(inst.total_weight(), 5);
+}
+
+TEST(Instance, WithChangesRejectsWithoutTouchingTheOriginal) {
+  const Instance inst = small();
+  const std::vector<Instance::ItemWrite> past_end{{3, {1, 1}}};
+  EXPECT_THROW((void)inst.with_changes(past_end, {}), std::out_of_range);
+  // The first write clones and edits a chunk before the second one throws.
+  const std::vector<Instance::ItemWrite> too_heavy{{0, {11, 1}}, {1, {20, 11}}};
+  EXPECT_THROW((void)inst.with_changes(too_heavy, {}), std::invalid_argument);
+  const std::vector<Item> negative{{-1, 1}};
+  EXPECT_THROW((void)inst.with_changes({}, negative), std::invalid_argument);
+  const std::vector<Instance::ItemWrite> no_profit{{0, {0, 5}}, {1, {0, 4}}, {2, {0, 6}}};
+  EXPECT_THROW((void)inst.with_changes(no_profit, {}), std::invalid_argument);
+  EXPECT_EQ(inst.item(0), (Item{10, 5}));
+  EXPECT_EQ(inst.item(1), (Item{20, 4}));
+  EXPECT_EQ(inst.total_profit(), 60);
+  EXPECT_THROW((void)inst.item(3), std::out_of_range);
 }
 
 TEST(Instance, SelectionHelpers) {

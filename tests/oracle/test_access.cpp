@@ -77,6 +77,33 @@ TEST(MaterializedAccess, EfficiencyOfZeroWeightIsInfinite) {
   EXPECT_TRUE(std::isinf(access.efficiency(access.query(0))));
 }
 
+TEST(MaterializedAccess, SharedTableDrawsLikeAFreshOne) {
+  const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 1'000, 5);
+  const MaterializedAccess owner(inst);
+  // Same profits, other weights: the table a rebuild would produce.
+  std::vector<knapsack::Instance::ItemWrite> writes;
+  for (std::size_t i = 0; i < inst.size(); i += 7) {
+    writes.push_back({i, {inst.item(i).profit, inst.item((i + 1) % inst.size()).weight}});
+  }
+  const knapsack::Instance reweighted = inst.with_changes(writes, {});
+  const MaterializedAccess shared(reweighted, owner);
+  const MaterializedAccess fresh(reweighted);
+  util::Xoshiro256 shared_rng(17);
+  util::Xoshiro256 fresh_rng(17);
+  for (int k = 0; k < 10'000; ++k) {
+    const auto a = shared.weighted_sample(shared_rng);
+    const auto b = fresh.weighted_sample(fresh_rng);
+    ASSERT_EQ(a.index, b.index) << "draw " << k;
+    ASSERT_EQ(a.item, b.item) << "draw " << k;
+  }
+  EXPECT_EQ(shared.sample_count(), 10'000u);
+  EXPECT_EQ(owner.sample_count(), 0u);
+
+  const std::vector<knapsack::Item> extra{{5, 5}};
+  const knapsack::Instance grown = inst.with_changes({}, extra);
+  EXPECT_THROW(MaterializedAccess(grown, owner), std::invalid_argument);
+}
+
 TEST(MaterializedAccess, CountersAreThreadSafe) {
   const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 100, 3);
   const MaterializedAccess access(inst);
