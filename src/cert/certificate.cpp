@@ -2,37 +2,9 @@
 
 #include <algorithm>
 
+#include "util/bytes.h"
+
 namespace lcaknap::cert {
-
-namespace {
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-[[nodiscard]] std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 const char* case_tag_name(CaseTag tag) noexcept {
   switch (tag) {
@@ -57,23 +29,16 @@ std::int32_t active_threshold_index(const core::LcaKpRun& run) noexcept {
 }
 
 void encode_record_to(char* out, const CertRecord& record) noexcept {
-  const auto store_u32 = [](char* at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) at[i] = static_cast<char>(v >> (8 * i));
-  };
-  const auto store_u64 = [](char* at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) at[i] = static_cast<char>(v >> (8 * i));
-  };
-  store_u64(out + 0, record.seq);
-  store_u64(out + 8, record.item);
-  store_u64(out + 16, static_cast<std::uint64_t>(record.profit));
-  store_u64(out + 24, static_cast<std::uint64_t>(record.weight));
+  util::store_le(out + 0, record.seq);
+  util::store_le(out + 8, record.item);
+  util::store_le(out + 16, record.profit);
+  util::store_le(out + 24, record.weight);
   out[32] = static_cast<char>(record.case_tag);
   out[33] = static_cast<char>(record.answer ? 1 : 0);
   out[34] = 0;  // reserved
   out[35] = 0;  // reserved
-  store_u32(out + 36, static_cast<std::uint32_t>(record.threshold_idx));
-  store_u64(out + 40,
-            store::crc64(std::string_view(out, kCertRecordBytes - 8)));
+  util::store_le(out + 36, static_cast<std::uint32_t>(record.threshold_idx));
+  util::seal_to(out, kCertRecordBytes - 8);
 }
 
 void encode_record(std::string& out, const CertRecord& record) {
@@ -90,31 +55,29 @@ CertRecord decode_record(std::string_view bytes) {
   if (bytes.size() > kCertRecordBytes) {
     throw CertCorrupt("certificate: record longer than the fixed size");
   }
-  const std::uint64_t stored = get_u64(bytes, kCertRecordBytes - 8);
-  const std::uint64_t computed =
-      store::crc64(bytes.substr(0, kCertRecordBytes - 8));
-  if (stored != computed) {
+  if (!util::seal_holds(bytes)) {
     throw CertCorrupt("certificate: record CRC64 mismatch");
   }
+  util::ByteReader in(bytes);
   CertRecord record;
-  record.seq = get_u64(bytes, 0);
-  record.item = get_u64(bytes, 8);
-  record.profit = static_cast<std::int64_t>(get_u64(bytes, 16));
-  record.weight = static_cast<std::int64_t>(get_u64(bytes, 24));
-  const auto tag = static_cast<std::uint8_t>(bytes[32]);
+  record.seq = in.get<std::uint64_t>();
+  record.item = in.get<std::uint64_t>();
+  record.profit = in.get<std::int64_t>();
+  record.weight = in.get<std::int64_t>();
+  const auto tag = in.get<std::uint8_t>();
   if (tag >= kCaseTagCount) {
     throw CertCorrupt("certificate: unknown case tag " + std::to_string(tag));
   }
   record.case_tag = static_cast<CaseTag>(tag);
-  const auto answer = static_cast<std::uint8_t>(bytes[33]);
+  const auto answer = in.get<std::uint8_t>();
   if (answer > 1) {
     throw CertCorrupt("certificate: non-boolean answer byte");
   }
   record.answer = answer != 0;
-  if (bytes[34] != 0 || bytes[35] != 0) {
+  if (in.get<std::uint16_t>() != 0) {
     throw CertCorrupt("certificate: nonzero reserved bytes");
   }
-  record.threshold_idx = static_cast<std::int32_t>(get_u32(bytes, 36));
+  record.threshold_idx = static_cast<std::int32_t>(in.get<std::uint32_t>());
   return record;
 }
 
@@ -122,39 +85,35 @@ void encode_header(std::string& out,
                    const store::SnapshotFingerprint& fingerprint) {
   const std::size_t start = out.size();
   out.append(kCertMagic, sizeof(kCertMagic));
-  put_u32(out, kCertVersion);
-  put_u32(out, static_cast<std::uint32_t>(kCertRecordBytes));
+  util::put_le(out, kCertVersion);
+  util::put_le(out, static_cast<std::uint32_t>(kCertRecordBytes));
   store::encode_fingerprint(out, fingerprint);
-  put_u64(out, store::crc64(std::string_view(out).substr(start)));
+  util::seal(out, start);
 }
 
 store::SnapshotFingerprint decode_header(std::string_view bytes) {
   if (bytes.size() < kCertHeaderBytes) {
     throw CertTruncated("certificate: segment shorter than any valid header");
   }
-  const std::uint64_t stored = get_u64(bytes, kCertHeaderBytes - 8);
-  const std::uint64_t computed =
-      store::crc64(bytes.substr(0, kCertHeaderBytes - 8));
-  if (stored != computed) {
+  if (!util::seal_holds(bytes.substr(0, kCertHeaderBytes))) {
     throw CertCorrupt("certificate: header CRC64 mismatch");
   }
-  for (std::size_t i = 0; i < sizeof(kCertMagic); ++i) {
-    if (bytes[i] != kCertMagic[i]) {
-      throw CertCorrupt("certificate: bad magic");
-    }
+  util::ByteReader in(bytes);
+  if (in.take(sizeof(kCertMagic)) !=
+      std::string_view(kCertMagic, sizeof(kCertMagic))) {
+    throw CertCorrupt("certificate: bad magic");
   }
-  if (const auto version = get_u32(bytes, 8); version != kCertVersion) {
+  if (const auto version = in.get<std::uint32_t>(); version != kCertVersion) {
     throw CertCorrupt("certificate: unsupported format version " +
                       std::to_string(version));
   }
-  if (const auto record_bytes = get_u32(bytes, 12);
+  if (const auto record_bytes = in.get<std::uint32_t>();
       record_bytes != kCertRecordBytes) {
     throw CertCorrupt("certificate: unexpected record size " +
                       std::to_string(record_bytes));
   }
   try {
-    return store::decode_fingerprint(
-        bytes.substr(16, store::kFingerprintBytes));
+    return store::decode_fingerprint(in.take(store::kFingerprintBytes));
   } catch (const store::SnapshotError& e) {
     // The CRC already passed, so a malformed fingerprint is a writer bug,
     // but it must still surface as this format's taxonomy.

@@ -186,7 +186,7 @@ LcaKpRun LcaKp::run_pipeline(util::Xoshiro256& sample_rng) const {
 }
 
 LcaKpRun LcaKp::run_warmup(std::uint64_t tape_seed, std::size_t threads,
-                           util::ThreadPool* pool, WarmupTrace* trace) const {
+                           WarmupTrace* trace) const {
   const double eps2 = config_.eps * config_.eps;
   if (threads == 0) threads = config_.warmup_threads;
   if (threads == 0) {
@@ -207,8 +207,6 @@ LcaKpRun LcaKp::run_warmup(std::uint64_t tape_seed, std::size_t threads,
   const auto for_each_shard = [&](const std::function<void(std::size_t)>& body) {
     if (threads <= 1) {
       for (std::size_t s = 0; s < shards; ++s) body(s);
-    } else if (pool != nullptr) {
-      pool->parallel_for(shards, body);
     } else {
       util::ThreadPool owned(threads);
       owned.parallel_for(shards, body);

@@ -13,10 +13,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
-namespace lcaknap::util {
-class ThreadPool;
-}
-
 /// \file lca_kp.h
 /// Algorithm 2 (LCA-KP), the paper's main positive result (Theorem 4.1): an
 /// LCA that, given weighted-sampling access to the instance, provides
@@ -164,8 +160,8 @@ class LcaKp final : public Lca {
   /// shard order, so the produced (L(Ĩ), EPS) — and therefore every served
   /// answer — is a pure function of `tape_seed` and the shared seed,
   /// independent of `threads`.  `threads` = 0 uses `config().warmup_threads`
-  /// (itself 0 = hardware concurrency); shards run on `pool` when provided,
-  /// else on a pool owned for the duration of the call.
+  /// (itself 0 = hardware concurrency); shards run on a pool owned for the
+  /// duration of the call.
   ///
   /// Note this draws a *different* (but equally fresh) sample sequence than
   /// `run_pipeline` on a single tape; both satisfy Theorem 4.1, and replicas
@@ -173,7 +169,6 @@ class LcaKp final : public Lca {
   /// shared the tape.
   [[nodiscard]] LcaKpRun run_warmup(std::uint64_t tape_seed,
                                     std::size_t threads = 0,
-                                    util::ThreadPool* pool = nullptr,
                                     WarmupTrace* trace = nullptr) const;
 
   /// Completes a run from already-collected sweep results: applies the

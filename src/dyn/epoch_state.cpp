@@ -52,7 +52,7 @@ EpochedState::EpochedState(knapsack::Instance base, const EpochConfig& config,
       std::make_unique<const oracle::MaterializedAccess>(*epoch->instance);
   epoch->lca = std::make_unique<const core::LcaKp>(*epoch->access, config_.lca);
   epoch->run = std::make_shared<const core::LcaKpRun>(epoch->lca->run_warmup(
-      config_.tape_seed, config_.warmup_threads, nullptr, &trace_));
+      config_.tape_seed, config_.warmup_threads, &trace_));
   epoch->digest = core::run_digest(*epoch->run);
   current_ = std::move(epoch);
   epoch_gauge_->set(0.0);
@@ -124,7 +124,7 @@ AdvanceReport EpochedState::advance(const UpdateBatch& batch) {
     // Full re-warm-up, re-traced: the new trace is the base for any chain
     // of delta advances that follows.
     run = next->lca->run_warmup(config_.tape_seed, config_.warmup_threads,
-                                nullptr, &trace_);
+                                &trace_);
   }
   next->run = std::make_shared<const core::LcaKpRun>(std::move(run));
   next->digest = core::run_digest(*next->run);

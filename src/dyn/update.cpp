@@ -6,7 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "store/snapshot.h"
+#include "util/bytes.h"
 
 namespace lcaknap::dyn {
 
@@ -86,7 +86,7 @@ std::string serialize_batch(const UpdateBatch& batch) {
 }
 
 std::uint64_t batch_crc(const UpdateBatch& batch) {
-  return store::crc64(serialize_batch(batch));
+  return util::crc64(serialize_batch(batch));
 }
 
 std::string serialize_epoch_log(std::span<const UpdateBatch> batches) {

@@ -6,12 +6,16 @@
 
 #include "net/client.h"
 #include "net/wire.h"
+#include "store/snapshot.h"
 
 namespace lcaknap::fleet {
 
 ShipResult ship_snapshot(const std::string& source_path,
                          const std::string& dest_dir,
                          const std::string& tenant_id) {
+  // Named, and the id checked, as the store names it: an id the store would
+  // refuse never reaches the filesystem.
+  const std::string final_path = store::snapshot_path(dest_dir, tenant_id);
   std::error_code ec;
   std::filesystem::create_directories(dest_dir, ec);
   if (ec) {
@@ -22,32 +26,10 @@ ShipResult ship_snapshot(const std::string& source_path,
   if (!in) {
     throw std::runtime_error("ship_snapshot: cannot read " + source_path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
   in.close();
-
-  const std::string final_path = dest_dir + "/" + tenant_id + ".snap";
-  const std::string temp = final_path + ".ship.tmp";
-  {
-    std::ofstream os(temp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      throw std::runtime_error("ship_snapshot: cannot write " + temp);
-    }
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    if (!os) {
-      throw std::runtime_error("ship_snapshot: short write to " + temp);
-    }
-  }
-  // Atomic publish: a restoring replica that races this sees the old file
-  // or the new file whole, never a torn prefix.
-  std::filesystem::rename(temp, final_path, ec);
-  if (ec) {
-    std::error_code cleanup;
-    std::filesystem::remove(temp, cleanup);
-    throw std::runtime_error("ship_snapshot: rename " + temp + " -> " +
-                             final_path + ": " + ec.message());
-  }
+  store::publish_file(final_path, bytes);
   return ShipResult{final_path, bytes.size()};
 }
 

@@ -19,13 +19,13 @@
 /// worst outcome of a corrupted shipment is the cold-start cost (E21 pins
 /// the good case at <= 10x a local snapshot restore).
 ///
-/// `ship_snapshot` follows the store's own write discipline: write the copy
-/// to a temp file in the destination directory, flush it, then atomically
-/// rename it into place.  A reader that races the shipment sees the
-/// complete old file or the complete new file, never a torn prefix — the
-/// atomic-rename race test in tests/store pins the reader side.  Neither
-/// this nor `store::write_snapshot` fsyncs, so a crash of the host can
-/// still lose a shipment that was renamed into place.
+/// `ship_snapshot` publishes through the store's own writer
+/// (`store::publish_file`): a temp file in the destination directory,
+/// flushed, then atomically renamed into place.  A reader that races the
+/// shipment sees the complete old file or the complete new file, never a
+/// torn prefix — the atomic-rename race test in tests/store pins the reader
+/// side.  The writer does not fsync, so a crash of the host can still lose
+/// a shipment that was renamed into place.
 ///
 /// `wait_ready` polls the wire-level health frame (`RequestFrame::kFlagHealth`,
 /// docs/NETWORKING.md) until every named tenant reports warm.  A restoring
@@ -39,10 +39,11 @@ struct ShipResult {
   std::uint64_t bytes = 0;  ///< snapshot size shipped
 };
 
-/// Copies `source_path` into `dest_dir` as `<tenant_id>.snap` (the
-/// StateStore's snapshot naming) via temp file + atomic rename.
-/// Throws std::system_error / std::runtime_error on I/O failure; performs
-/// no content verification — that is deliberately left to the restoring
+/// Copies `source_path` into `dest_dir` as `store::snapshot_path(dest_dir,
+/// tenant_id)` via `store::publish_file`.  Throws std::invalid_argument,
+/// before touching the filesystem, for an id the store would refuse
+/// (`util::valid_id`), and std::runtime_error on I/O failure; performs no
+/// content verification — that is deliberately left to the restoring
 /// replica's fingerprint check, which is the trust boundary.
 ShipResult ship_snapshot(const std::string& source_path,
                          const std::string& dest_dir,

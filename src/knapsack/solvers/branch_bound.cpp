@@ -1,5 +1,7 @@
 #include "knapsack/solvers/branch_bound.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "knapsack/solvers/greedy.h"
@@ -37,21 +39,35 @@ BranchBoundResult branch_bound(const Instance& instance, std::uint64_t node_budg
   std::uint64_t nodes = 0;
   bool truncated = false;
 
-  // Fractional completion bound for the suffix starting at `rank`.
+  // Fractional completion bound for the suffix starting at `rank`: the
+  // items that fit in efficiency order, then a fraction of the first that
+  // does not.  Prefix sums over `order` find that break item by binary
+  // search instead of a rescan, so a node costs O(log n).
+  std::vector<std::int64_t> weight_prefix(n + 1, 0);
+  std::vector<std::int64_t> profit_prefix(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const Item& it = instance.item(order[r]);
+    weight_prefix[r + 1] = weight_prefix[r] + it.weight;
+    profit_prefix[r + 1] = profit_prefix[r] + it.profit;
+  }
   const auto upper_bound = [&](std::size_t rank, std::int64_t remaining) {
-    double bound = 0.0;
-    for (std::size_t r = rank; r < n; ++r) {
-      const Item& it = instance.item(order[r]);
-      if (it.weight <= remaining) {
-        remaining -= it.weight;
-        bound += static_cast<double>(it.profit);
-      } else {
-        if (remaining > 0 && it.weight > 0) {
-          bound += static_cast<double>(it.profit) * static_cast<double>(remaining) /
-                   static_cast<double>(it.weight);
-        }
-        break;
-      }
+    const std::int64_t base = weight_prefix[rank];
+    // First prefix end past `remaining`; the item before it breaks the run.
+    const auto past = std::upper_bound(
+        weight_prefix.begin() + static_cast<std::ptrdiff_t>(rank) + 1,
+        weight_prefix.end(), remaining,
+        [base](std::int64_t room, std::int64_t prefix) {
+          return room < prefix - base;
+        });
+    const auto fit_end =
+        static_cast<std::size_t>(past - weight_prefix.begin()) - 1;
+    double bound =
+        static_cast<double>(profit_prefix[fit_end] - profit_prefix[rank]);
+    const std::int64_t left = remaining - (weight_prefix[fit_end] - base);
+    if (fit_end < n && left > 0) {
+      const Item& it = instance.item(order[fit_end]);
+      bound += static_cast<double>(it.profit) * static_cast<double>(left) /
+               static_cast<double>(it.weight);
     }
     return bound;
   };

@@ -54,7 +54,9 @@ Client::Client(const std::string& host, std::uint16_t port) {
 }
 
 Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), inbuf_(std::move(other.inbuf_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      lost_(other.lost_.load()),
+      inbuf_(std::move(other.inbuf_)) {}
 
 Client::~Client() { close(); }
 
@@ -65,11 +67,17 @@ void Client::close() {
   }
 }
 
+void Client::lose() noexcept {
+  lost_ = true;
+  (void)::shutdown(fd_, SHUT_RDWR);
+}
+
 void Client::fail(int err, const char* what) {
   if (peer_gone(err)) {
-    // A dead peer makes the fd useless; close it so connected() reports the
-    // truth and a pooling caller (fleet::FleetClient) reconnects cleanly.
-    close();
+    // A dead peer makes the connection useless; mark it so connected()
+    // reports the truth and a pooling caller (fleet::FleetClient)
+    // reconnects cleanly.
+    lose();
     throw ConnectionLost(err, what);
   }
   throw std::system_error(err, std::generic_category(), what);
@@ -118,7 +126,7 @@ ResponseFrame Client::recv(std::string* raw) {
       // EOF with a response outstanding: the server died (or tore the
       // connection down) mid-pipeline — typed retryable, distinct from a
       // malformed frame (WireDecodeError).
-      close();
+      lose();
       throw ConnectionLost(ECONNRESET,
                            "server closed the connection mid-response");
     }

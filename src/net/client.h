@@ -1,6 +1,7 @@
 #ifndef LCAKNAP_NET_CLIENT_H
 #define LCAKNAP_NET_CLIENT_H
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <system_error>
@@ -17,7 +18,8 @@
 ///    comparison needs (pipelined responses may legally interleave);
 ///  * **pipelined** — `send()` queues frames without waiting and `recv()`
 ///    pulls whatever response completes next; the load generator keeps a
-///    window of these in flight per connection.
+///    window of these in flight per connection, one thread sending while
+///    another receives.
 ///
 /// `recv(raw)` optionally captures the exact response bytes as they came
 /// off the socket — the integration suite compares those across replicas,
@@ -63,15 +65,22 @@ class Client {
   ResponseFrame recv(std::string* raw = nullptr);
 
   void close();
-  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
+  /// False after `close()`, and once a `ConnectionLost` was thrown.
+  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0 && !lost_; }
 
  private:
-  /// Maps a socket errno to the typed hierarchy: peer-gone errnos close the
-  /// fd and throw `ConnectionLost`; everything else is `std::system_error`.
+  /// Maps a socket errno to the typed hierarchy: peer-gone errnos mark the
+  /// connection lost and throw `ConnectionLost`; everything else is
+  /// `std::system_error`.
   [[noreturn]] void fail(int err, const char* what);
+  /// Marks the peer gone.  The socket is shut down, which wakes a `recv()`
+  /// blocked on another thread, but the fd stays open until `close()`, so a
+  /// `send()` racing on another thread never writes to a reused descriptor.
+  void lose() noexcept;
   void write_all(const std::string& bytes);
 
   int fd_ = -1;
+  std::atomic<bool> lost_{false};
   std::string inbuf_;  ///< bytes read past the last decoded response
 };
 

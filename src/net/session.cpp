@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/bytes.h"
+
 namespace lcaknap::net {
 
 TenantRouter::TenantRouter(store::StateStore& store,
@@ -21,7 +23,7 @@ TenantRouter::~TenantRouter() { drain(); }
 
 void TenantRouter::register_tenant(const std::string& id,
                                    TenantConfig config) {
-  if (!valid_tenant(id)) {
+  if (!util::valid_id(id)) {
     throw std::invalid_argument("invalid tenant id: '" + id + "'");
   }
   if (config.lca == nullptr) {

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "store/snapshot.h"
+#include "util/bytes.h"
 
 namespace lcaknap::net {
 namespace {
@@ -13,53 +13,14 @@ constexpr std::size_t kRequestFixed = 4 + 2 + 2 + 8 + 8 + 8 + 2 + 8;
 // the epoch_id u64).
 constexpr std::size_t kResponseLen = 4 + 2 + 2 + 8 + 8 + 8 + 1 + 1 + 8;
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void put_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint8_t get_u8(std::string_view buf, std::size_t& at) {
-  return static_cast<std::uint8_t>(buf[at++]);
-}
-std::uint16_t get_u16(std::string_view buf, std::size_t& at) {
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(get_u8(buf, at)) << (8 * i);
-  return v;
-}
-std::uint32_t get_u32(std::string_view buf, std::size_t& at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(get_u8(buf, at)) << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(std::string_view buf, std::size_t& at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(get_u8(buf, at)) << (8 * i);
-  return v;
-}
-
-/// Seals the frame appended to `out` since `frame_start`: CRC over every
-/// byte written so far (length prefix included), appended last.
-void seal(std::string& out, std::size_t frame_start) {
-  const std::uint64_t crc = store::crc64(
-      std::string_view(out).substr(frame_start, out.size() - frame_start));
-  put_u64(out, crc);
-}
+using util::put_le;
 
 /// Common prologue: reads and bounds-checks the length prefix.  Returns the
 /// frame length, or 0 when the buffer is still incomplete.
 std::size_t frame_length(std::string_view buffer, std::size_t min_len,
                          std::size_t max_len, bool exact) {
   if (buffer.size() < 4) return 0;
-  std::size_t at = 0;
-  const std::uint32_t len = get_u32(buffer, at);
+  const auto len = util::ByteReader(buffer).get<std::uint32_t>();
   if (len < min_len || len > max_len || (exact && len != min_len)) {
     throw WireDecodeError(WireError::kBadLength,
                           "frame length " + std::to_string(len) +
@@ -72,86 +33,71 @@ std::size_t frame_length(std::string_view buffer, std::size_t min_len,
 
 /// Verifies the trailing CRC of the frame occupying buffer[0, 4+len).
 void check_crc(std::string_view buffer, std::size_t len) {
-  const std::size_t body = 4 + len - 8;  // everything the CRC covers
-  std::size_t at = body;
-  const std::uint64_t stored = get_u64(buffer, at);
-  const std::uint64_t actual = store::crc64(buffer.substr(0, body));
-  if (stored != actual) {
+  if (!util::seal_holds(buffer.substr(0, 4 + len))) {
     throw WireDecodeError(WireError::kBadCrc, "frame checksum mismatch");
   }
 }
 
 }  // namespace
 
-bool valid_tenant(std::string_view tenant) noexcept {
-  if (tenant.empty() || tenant.size() > kMaxTenantBytes) return false;
-  for (const char c : tenant) {
-    const bool ok = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
-
 void encode(const RequestFrame& frame, std::string& out) {
-  if (!valid_tenant(frame.tenant)) {
+  if (!util::valid_id(frame.tenant)) {
     throw std::invalid_argument("invalid tenant id: '" + frame.tenant + "'");
   }
   const std::size_t frame_start = out.size();
-  put_u32(out, static_cast<std::uint32_t>(kRequestFixed + frame.tenant.size()));
-  put_u32(out, kRequestMagic);
-  put_u16(out, kWireVersion);
-  put_u16(out, frame.flags);
-  put_u64(out, frame.request_id);
-  put_u64(out, frame.item);
-  put_u64(out, frame.deadline_us);
-  put_u16(out, static_cast<std::uint16_t>(frame.tenant.size()));
+  put_le(out, static_cast<std::uint32_t>(kRequestFixed + frame.tenant.size()));
+  put_le(out, kRequestMagic);
+  put_le(out, kWireVersion);
+  put_le(out, frame.flags);
+  put_le(out, frame.request_id);
+  put_le(out, frame.item);
+  put_le(out, frame.deadline_us);
+  put_le(out, static_cast<std::uint16_t>(frame.tenant.size()));
   out.append(frame.tenant);
-  seal(out, frame_start);
+  util::seal(out, frame_start);
 }
 
 void encode(const ResponseFrame& frame, std::string& out) {
   const std::size_t frame_start = out.size();
-  put_u32(out, static_cast<std::uint32_t>(kResponseLen));
-  put_u32(out, kResponseMagic);
-  put_u16(out, kWireVersion);
-  put_u16(out, static_cast<std::uint16_t>(frame.status));
-  put_u64(out, frame.request_id);
-  put_u64(out, frame.replica_id);
-  put_u64(out, frame.epoch_id);
-  put_u8(out, frame.answer ? 1 : 0);
-  put_u8(out, frame.cache_hit ? 1 : 0);
-  seal(out, frame_start);
+  put_le(out, static_cast<std::uint32_t>(kResponseLen));
+  put_le(out, kResponseMagic);
+  put_le(out, kWireVersion);
+  put_le(out, static_cast<std::uint16_t>(frame.status));
+  put_le(out, frame.request_id);
+  put_le(out, frame.replica_id);
+  put_le(out, frame.epoch_id);
+  put_le<std::uint8_t>(out, frame.answer ? 1 : 0);
+  put_le<std::uint8_t>(out, frame.cache_hit ? 1 : 0);
+  util::seal(out, frame_start);
 }
 
 std::size_t decode(std::string_view buffer, RequestFrame& frame) {
   const std::size_t len = frame_length(buffer, kRequestFixed,
                                        kMaxFrameBytes, /*exact=*/false);
   if (len == 0) return 0;
-  std::size_t at = 4;
-  const std::uint32_t magic = get_u32(buffer, at);
-  if (magic != kRequestMagic) {
+  util::ByteReader in(buffer.substr(4, len));
+  if (in.get<std::uint32_t>() != kRequestMagic) {
     throw WireDecodeError(WireError::kBadMagic, "not a request frame");
   }
-  const std::uint16_t version = get_u16(buffer, at);
+  const auto version = in.get<std::uint16_t>();
   if (version != kWireVersion) {
     throw WireDecodeError(WireError::kBadVersion,
                           "protocol version " + std::to_string(version) +
                               " != " + std::to_string(kWireVersion));
   }
-  frame.flags = get_u16(buffer, at);
-  frame.request_id = get_u64(buffer, at);
-  frame.item = get_u64(buffer, at);
-  frame.deadline_us = get_u64(buffer, at);
-  const std::uint16_t tenant_len = get_u16(buffer, at);
+  frame.flags = in.get<std::uint16_t>();
+  frame.request_id = in.get<std::uint64_t>();
+  frame.item = in.get<std::uint64_t>();
+  frame.deadline_us = in.get<std::uint64_t>();
+  const auto tenant_len = in.get<std::uint16_t>();
   // Structural cross-check: the length prefix and the tenant length must
   // agree exactly, so a bit flip in either is typed kBadLength immediately.
   if (kRequestFixed + static_cast<std::size_t>(tenant_len) != len) {
     throw WireDecodeError(WireError::kBadLength,
                           "tenant length inconsistent with frame length");
   }
-  const std::string_view tenant = buffer.substr(at, tenant_len);
-  if (!valid_tenant(tenant)) {
+  const std::string_view tenant = in.take(tenant_len);
+  if (!util::valid_id(tenant)) {
     throw WireDecodeError(WireError::kBadTenant, "invalid tenant id");
   }
   check_crc(buffer, len);
@@ -163,28 +109,27 @@ std::size_t decode(std::string_view buffer, ResponseFrame& frame) {
   const std::size_t len = frame_length(buffer, kResponseLen, kResponseLen,
                                        /*exact=*/true);
   if (len == 0) return 0;
-  std::size_t at = 4;
-  const std::uint32_t magic = get_u32(buffer, at);
-  if (magic != kResponseMagic) {
+  util::ByteReader in(buffer.substr(4, len));
+  if (in.get<std::uint32_t>() != kResponseMagic) {
     throw WireDecodeError(WireError::kBadMagic, "not a response frame");
   }
-  const std::uint16_t version = get_u16(buffer, at);
+  const auto version = in.get<std::uint16_t>();
   if (version != kWireVersion) {
     throw WireDecodeError(WireError::kBadVersion,
                           "protocol version " + std::to_string(version) +
                               " != " + std::to_string(kWireVersion));
   }
-  const std::uint16_t status = get_u16(buffer, at);
+  const auto status = in.get<std::uint16_t>();
   if (status > static_cast<std::uint16_t>(WireStatus::kShuttingDown)) {
     throw WireDecodeError(WireError::kBadStatus,
                           "status " + std::to_string(status) + " out of range");
   }
   frame.status = static_cast<WireStatus>(status);
-  frame.request_id = get_u64(buffer, at);
-  frame.replica_id = get_u64(buffer, at);
-  frame.epoch_id = get_u64(buffer, at);
-  frame.answer = get_u8(buffer, at) != 0;
-  frame.cache_hit = get_u8(buffer, at) != 0;
+  frame.request_id = in.get<std::uint64_t>();
+  frame.replica_id = in.get<std::uint64_t>();
+  frame.epoch_id = in.get<std::uint64_t>();
+  frame.answer = in.get<std::uint8_t>() != 0;
+  frame.cache_hit = in.get<std::uint8_t>() != 0;
   check_crc(buffer, len);
   return 4 + len;
 }

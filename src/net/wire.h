@@ -60,8 +60,6 @@ namespace lcaknap::net {
 inline constexpr std::uint32_t kRequestMagic = 0x5152'4B4Cu;   // "LKRQ"
 inline constexpr std::uint32_t kResponseMagic = 0x5352'4B4Cu;  // "LKRS"
 inline constexpr std::uint16_t kWireVersion = 3;
-/// Tenant ids are StateStore instance ids: `[A-Za-z0-9._-]+`, bounded.
-inline constexpr std::size_t kMaxTenantBytes = 64;
 /// Hard cap on `len` for either frame kind; anything larger is kBadLength
 /// before a single payload byte is trusted.
 inline constexpr std::size_t kMaxFrameBytes = 256;
@@ -122,7 +120,7 @@ struct RequestFrame {
   std::uint64_t request_id = 0;   ///< echoed verbatim in the response
   std::uint64_t item = 0;
   std::uint64_t deadline_us = 0;  ///< relative budget; 0 = no deadline
-  std::string tenant;             ///< StateStore instance id
+  std::string tenant;             ///< StateStore instance id (util::valid_id)
 };
 
 /// One answer on the wire.
@@ -175,12 +173,9 @@ class WireDecodeError : public std::runtime_error {
   WireError error_;
 };
 
-/// True iff `tenant` is a valid instance id: nonempty, ≤ kMaxTenantBytes,
-/// characters from `[A-Za-z0-9._-]` (the StateStore id alphabet).
-[[nodiscard]] bool valid_tenant(std::string_view tenant) noexcept;
-
 /// Appends one encoded frame to `out`.  Throws `std::invalid_argument` for
-/// an invalid tenant (encoding never produces an undecodable frame).
+/// a tenant that fails `util::valid_id` (encoding never produces an
+/// undecodable frame).
 void encode(const RequestFrame& frame, std::string& out);
 void encode(const ResponseFrame& frame, std::string& out);
 

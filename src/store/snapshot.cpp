@@ -1,143 +1,69 @@
 #include "store/snapshot.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <vector>
+
+#include "util/bytes.h"
 
 namespace lcaknap::store {
 
 namespace {
 
-// --- CRC-64/ECMA-182 ---------------------------------------------------------
-
-constexpr std::uint64_t kCrc64Poly = 0xC96C5795D7870F42ULL;  // reflected
-
-constexpr std::array<std::uint64_t, 256> make_crc64_table() {
-  std::array<std::uint64_t, 256> table{};
-  for (std::uint64_t i = 0; i < 256; ++i) {
-    std::uint64_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1) ? (crc >> 1) ^ kCrc64Poly : crc >> 1;
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-constexpr auto kCrc64Table = make_crc64_table();
-
-// --- little-endian byte stream ----------------------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked little-endian reader over an immutable buffer.  Every
-/// overrun throws SnapshotTruncated; by the time the parser runs, the CRC
-/// has already passed, so an overrun here means the *writer* produced a
-/// short buffer — still never served.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
-
- private:
-  void need(std::size_t count) const {
-    if (bytes_.size() - pos_ < count) {
-      throw SnapshotTruncated("snapshot: payload shorter than declared");
-    }
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+using util::ByteReader;
+using util::put_le;
 
 void put_fingerprint(std::string& out, const SnapshotFingerprint& fp) {
-  put_u64(out, fp.n);
-  put_i64(out, fp.capacity);
-  put_i64(out, fp.total_profit);
-  put_i64(out, fp.total_weight);
-  put_f64(out, fp.eps);
-  put_u64(out, fp.seed);
-  put_u32(out, fp.domain_bits);
-  put_u32(out, fp.branching);
-  put_f64(out, fp.tau);
-  put_f64(out, fp.rho);
-  put_f64(out, fp.beta);
-  put_u64(out, fp.large_samples);
-  put_u64(out, fp.quantile_samples);
-  put_u64(out, fp.tape_seed);
-  put_u32(out, fp.warmup_shards);
-  put_u32(out, (fp.reproducible_quantiles ? 1u : 0u) |
-                   (fp.paper_constants ? 2u : 0u));
-  put_u64(out, fp.epoch_id);
+  put_le(out, fp.n);
+  put_le(out, fp.capacity);
+  put_le(out, fp.total_profit);
+  put_le(out, fp.total_weight);
+  put_le(out, fp.eps);
+  put_le(out, fp.seed);
+  put_le(out, fp.domain_bits);
+  put_le(out, fp.branching);
+  put_le(out, fp.tau);
+  put_le(out, fp.rho);
+  put_le(out, fp.beta);
+  put_le(out, fp.large_samples);
+  put_le(out, fp.quantile_samples);
+  put_le(out, fp.tape_seed);
+  put_le(out, fp.warmup_shards);
+  put_le<std::uint32_t>(out, (fp.reproducible_quantiles ? 1u : 0u) |
+                                 (fp.paper_constants ? 2u : 0u));
+  put_le(out, fp.epoch_id);
 }
 
+/// Reads a fingerprint block; a short block leaves `in.ok()` false for the
+/// caller to report.
 SnapshotFingerprint get_fingerprint(ByteReader& in) {
   SnapshotFingerprint fp;
-  fp.n = in.u64();
-  fp.capacity = in.i64();
-  fp.total_profit = in.i64();
-  fp.total_weight = in.i64();
-  fp.eps = in.f64();
-  fp.seed = in.u64();
-  fp.domain_bits = in.u32();
-  fp.branching = in.u32();
-  fp.tau = in.f64();
-  fp.rho = in.f64();
-  fp.beta = in.f64();
-  fp.large_samples = in.u64();
-  fp.quantile_samples = in.u64();
-  fp.tape_seed = in.u64();
-  fp.warmup_shards = in.u32();
-  const std::uint32_t flags = in.u32();
+  fp.n = in.get<std::uint64_t>();
+  fp.capacity = in.get<std::int64_t>();
+  fp.total_profit = in.get<std::int64_t>();
+  fp.total_weight = in.get<std::int64_t>();
+  fp.eps = in.get<double>();
+  fp.seed = in.get<std::uint64_t>();
+  fp.domain_bits = in.get<std::uint32_t>();
+  fp.branching = in.get<std::uint32_t>();
+  fp.tau = in.get<double>();
+  fp.rho = in.get<double>();
+  fp.beta = in.get<double>();
+  fp.large_samples = in.get<std::uint64_t>();
+  fp.quantile_samples = in.get<std::uint64_t>();
+  fp.tape_seed = in.get<std::uint64_t>();
+  fp.warmup_shards = in.get<std::uint32_t>();
+  const auto flags = in.get<std::uint32_t>();
   fp.reproducible_quantiles = (flags & 1u) != 0;
   fp.paper_constants = (flags & 2u) != 0;
   if ((flags & ~3u) != 0) {
     throw SnapshotCorrupt("snapshot: unknown fingerprint flags");
   }
-  fp.epoch_id = in.u64();
+  fp.epoch_id = in.get<std::uint64_t>();
   return fp;
 }
 
@@ -216,21 +142,13 @@ SnapshotFingerprint decode_fingerprint(std::string_view bytes) {
   return fp;
 }
 
-std::uint64_t crc64(std::string_view bytes) noexcept {
-  std::uint64_t crc = ~0ULL;
-  for (const char c : bytes) {
-    crc = kCrc64Table[(crc ^ static_cast<std::uint8_t>(c)) & 0xFF] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
 std::string encode_snapshot(const SnapshotFingerprint& fingerprint,
                             const core::LcaKpRun& run) {
   std::string out;
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  put_u32(out, kSnapshotVersion);
+  put_le(out, kSnapshotVersion);
   const std::size_t size_field_at = out.size();
-  put_u64(out, 0);  // total_size backpatched below
+  put_le<std::uint64_t>(out, 0);  // total_size backpatched below
   put_fingerprint(out, fingerprint);
 
   // Payload.  The large-item set is written sorted so equal states always
@@ -238,27 +156,24 @@ std::string encode_snapshot(const SnapshotFingerprint& fingerprint,
   std::vector<std::uint64_t> sorted(run.index_large.begin(),
                                     run.index_large.end());
   std::sort(sorted.begin(), sorted.end());
-  put_u64(out, sorted.size());
-  for (const auto index : sorted) put_u64(out, index);
-  put_i64(out, run.e_small_grid);
-  put_u8(out, run.singleton ? 1 : 0);
-  put_u8(out, run.degenerate ? 1 : 0);
-  put_u32(out, static_cast<std::uint32_t>(run.thresholds_grid.size()));
-  for (const auto g : run.thresholds_grid) put_i64(out, g);
-  for (const auto e : run.thresholds) put_f64(out, e);
-  put_f64(out, run.large_mass);
-  put_f64(out, run.q);
-  put_u32(out, static_cast<std::uint32_t>(run.t));
-  put_u64(out, run.samples_used);
-  put_u64(out, run.tilde_size);
+  put_le<std::uint64_t>(out, sorted.size());
+  for (const auto index : sorted) put_le(out, index);
+  put_le(out, run.e_small_grid);
+  put_le<std::uint8_t>(out, run.singleton ? 1 : 0);
+  put_le<std::uint8_t>(out, run.degenerate ? 1 : 0);
+  put_le(out, static_cast<std::uint32_t>(run.thresholds_grid.size()));
+  for (const auto g : run.thresholds_grid) put_le(out, g);
+  for (const auto e : run.thresholds) put_le(out, e);
+  put_le(out, run.large_mass);
+  put_le(out, run.q);
+  put_le(out, static_cast<std::uint32_t>(run.t));
+  put_le(out, run.samples_used);
+  put_le<std::uint64_t>(out, run.tilde_size);
 
   // Backpatch the total size, then seal with the CRC over everything so far.
-  const std::uint64_t total = out.size() + kTrailerBytes;
-  for (int i = 0; i < 8; ++i) {
-    out[size_field_at + static_cast<std::size_t>(i)] =
-        static_cast<char>(total >> (8 * i));
-  }
-  put_u64(out, crc64(out));
+  util::store_le<std::uint64_t>(out.data() + size_field_at,
+                                out.size() + kTrailerBytes);
+  util::seal(out);
   return out;
 }
 
@@ -270,41 +185,37 @@ core::LcaKpRun decode_snapshot(std::string_view bytes,
   if (bytes.size() < kHeaderBytes + kTrailerBytes) {
     throw SnapshotTruncated("snapshot: shorter than any valid header");
   }
-  {
-    ByteReader head(bytes.substr(8 + 4, 8));
-    const std::uint64_t declared = head.u64();
-    if (bytes.size() < declared) {
-      throw SnapshotTruncated("snapshot: file shorter than declared size");
-    }
-    if (bytes.size() > declared) {
-      throw SnapshotCorrupt("snapshot: trailing bytes beyond declared size");
-    }
+  const auto declared = ByteReader(bytes.substr(8 + 4)).get<std::uint64_t>();
+  if (bytes.size() < declared) {
+    throw SnapshotTruncated("snapshot: file shorter than declared size");
+  }
+  if (bytes.size() > declared) {
+    throw SnapshotCorrupt("snapshot: trailing bytes beyond declared size");
   }
   // 2. Integrity: the trailing CRC covers every preceding byte, so from here
   //    on every field is exactly what the writer produced.
-  {
-    ByteReader tail(bytes.substr(bytes.size() - kTrailerBytes));
-    const std::uint64_t stored = tail.u64();
-    const std::uint64_t computed =
-        crc64(bytes.substr(0, bytes.size() - kTrailerBytes));
-    if (stored != computed) {
-      throw SnapshotCorrupt("snapshot: CRC64 mismatch");
-    }
+  if (!util::seal_holds(bytes)) {
+    throw SnapshotCorrupt("snapshot: CRC64 mismatch");
   }
+  // A sealed buffer can still be shorter than its fields when the writer
+  // was wrong; that reads as truncation, never served.
+  const auto truncated = [] {
+    return SnapshotTruncated("snapshot: payload shorter than declared");
+  };
   ByteReader in(bytes.substr(0, bytes.size() - kTrailerBytes));
   // 3. Format identity.
-  for (const char expected_char : kSnapshotMagic) {
-    if (static_cast<char>(in.u8()) != expected_char) {
-      throw SnapshotCorrupt("snapshot: bad magic");
-    }
+  if (in.take(sizeof(kSnapshotMagic)) !=
+      std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic))) {
+    throw SnapshotCorrupt("snapshot: bad magic");
   }
-  if (const auto version = in.u32(); version != kSnapshotVersion) {
+  if (const auto version = in.get<std::uint32_t>(); version != kSnapshotVersion) {
     throw SnapshotCorrupt("snapshot: unsupported format version " +
                           std::to_string(version));
   }
-  (void)in.u64();  // total_size, already validated
+  (void)in.get<std::uint64_t>();  // total_size, already validated
   // 4. Fingerprint.
   const SnapshotFingerprint fp = get_fingerprint(in);
+  if (!in.ok()) throw truncated();
   if (actual != nullptr) *actual = fp;
   if (expected != nullptr && !fp.equals(*expected)) {
     throw SnapshotMismatch(
@@ -314,57 +225,55 @@ core::LcaKpRun decode_snapshot(std::string_view bytes,
   // 5. Payload.  Element counts are sanity-bounded by the remaining bytes
   //    before any allocation, so a hostile size field cannot balloon memory.
   core::LcaKpRun run;
-  const std::uint64_t large_count = in.u64();
+  const auto large_count = in.get<std::uint64_t>();
   if (large_count > in.remaining() / 8) {
     throw SnapshotCorrupt("snapshot: large-item count exceeds payload");
   }
   run.index_large.reserve(static_cast<std::size_t>(large_count));
   std::uint64_t previous = 0;
   for (std::uint64_t k = 0; k < large_count; ++k) {
-    const std::uint64_t index = in.u64();
+    const auto index = in.get<std::uint64_t>();
     if (k > 0 && index <= previous) {
       throw SnapshotCorrupt("snapshot: large-item indices not canonical");
     }
     previous = index;
     run.index_large.insert(static_cast<std::size_t>(index));
   }
-  run.e_small_grid = in.i64();
-  run.singleton = in.u8() != 0;
-  run.degenerate = in.u8() != 0;
-  const std::uint32_t threshold_count = in.u32();
+  run.e_small_grid = in.get<std::int64_t>();
+  run.singleton = in.get<std::uint8_t>() != 0;
+  run.degenerate = in.get<std::uint8_t>() != 0;
+  const auto threshold_count = in.get<std::uint32_t>();
   if (threshold_count > in.remaining() / 16) {
     throw SnapshotCorrupt("snapshot: threshold count exceeds payload");
   }
   run.thresholds_grid.reserve(threshold_count);
   for (std::uint32_t k = 0; k < threshold_count; ++k) {
-    run.thresholds_grid.push_back(in.i64());
+    run.thresholds_grid.push_back(in.get<std::int64_t>());
   }
   run.thresholds.reserve(threshold_count);
   for (std::uint32_t k = 0; k < threshold_count; ++k) {
-    run.thresholds.push_back(in.f64());
+    run.thresholds.push_back(in.get<double>());
   }
-  run.large_mass = in.f64();
-  run.q = in.f64();
-  run.t = static_cast<int>(in.u32());
-  run.samples_used = in.u64();
-  run.tilde_size = in.u64();
+  run.large_mass = in.get<double>();
+  run.q = in.get<double>();
+  run.t = static_cast<int>(in.get<std::uint32_t>());
+  run.samples_used = in.get<std::uint64_t>();
+  run.tilde_size = in.get<std::uint64_t>();
+  if (!in.ok()) throw truncated();
   if (in.remaining() != 0) {
     throw SnapshotCorrupt("snapshot: unparsed bytes before trailer");
   }
   return run;
 }
 
-void write_snapshot(const std::string& path,
-                    const SnapshotFingerprint& fingerprint,
-                    const core::LcaKpRun& run) {
-  const std::string encoded = encode_snapshot(fingerprint, run);
+void publish_file(const std::string& path, std::string_view bytes) {
   const std::string temp = path + ".tmp";
   {
     std::ofstream os(temp, std::ios::binary | std::ios::trunc);
     if (!os) {
       throw SnapshotIoError("snapshot: cannot open temp file " + temp);
     }
-    os.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     os.flush();
     if (!os.good()) {
       os.close();
@@ -379,6 +288,21 @@ void write_snapshot(const std::string& path,
     throw SnapshotIoError("snapshot: rename " + temp + " -> " + path +
                           " failed: " + ec.message());
   }
+}
+
+void write_snapshot(const std::string& path,
+                    const SnapshotFingerprint& fingerprint,
+                    const core::LcaKpRun& run) {
+  publish_file(path, encode_snapshot(fingerprint, run));
+}
+
+std::string snapshot_path(const std::string& dir, const std::string& id) {
+  if (!util::valid_id(id)) {
+    throw std::invalid_argument(
+        "snapshot: instance id must be 1-64 bytes of [A-Za-z0-9._-]: '" + id +
+        "'");
+  }
+  return (dir.empty() ? std::string(".") : dir) + "/" + id + ".snap";
 }
 
 namespace {

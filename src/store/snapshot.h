@@ -28,8 +28,9 @@
 ///   u64 CRC-64/XZ over every preceding byte
 ///
 /// Safety invariants, enforced at load:
-///  * any bit flip is rejected (`SnapshotCorrupt`) — the CRC covers the
-///    whole file including magic, version, and fingerprint;
+///  * any bit flip is rejected (`SnapshotCorrupt`) — the CRC (`util::crc64`,
+///    sealed by `util::seal`) covers the whole file including magic,
+///    version, and fingerprint;
 ///  * any truncation is rejected (`SnapshotTruncated`) — the header records
 ///    the expected total size;
 ///  * a snapshot can never be loaded against the wrong instance or config
@@ -121,13 +122,6 @@ inline constexpr char kSnapshotMagic[8] = {'L', 'C', 'A', 'K',
                                            'S', 'N', 'A', 'P'};
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
-/// CRC-64/XZ (the reflected form of the ECMA-182 polynomial,
-/// 0x42F0E1EBA9EA3693), the trailer checksum.  Exposed so tests can craft
-/// deliberately-corrupt-but-checksummed buffers (e.g. to exercise the
-/// version check behind a valid CRC), and reused by the certificate log
-/// (src/cert) so one checksum implementation seals both formats.
-[[nodiscard]] std::uint64_t crc64(std::string_view bytes) noexcept;
-
 /// Canonical byte size of an encoded `SnapshotFingerprint` block.  The
 /// fingerprint encoding is shared with the certificate log header
 /// (docs/CERTIFICATES.md), which embeds the block verbatim so a certificate
@@ -161,13 +155,23 @@ void encode_fingerprint(std::string& out, const SnapshotFingerprint& fp);
 
 // --- file protocol -----------------------------------------------------------
 
-/// Atomic snapshot write: encodes into `path + ".tmp"`, flushes, then
-/// renames over `path`.  A reader concurrent with a crash sees either the
-/// old complete snapshot or the new complete snapshot, never a prefix.
-/// Throws SnapshotIoError on any filesystem failure (the temp is removed).
+/// Atomic publish, the one temp-file + rename in the tree: writes `bytes` to
+/// `path + ".tmp"`, flushes, then renames over `path`.  A reader concurrent
+/// with a crash sees either the old complete file or the new complete file,
+/// never a prefix.  Throws SnapshotIoError on any filesystem failure (the
+/// temp is removed).  `fleet::ship_snapshot` publishes through it too.
+void publish_file(const std::string& path, std::string_view bytes);
+
+/// `publish_file` of `encode_snapshot(fingerprint, run)`.
 void write_snapshot(const std::string& path,
                     const SnapshotFingerprint& fingerprint,
                     const core::LcaKpRun& run);
+
+/// Where instance `id`'s snapshot lives in `dir` ("." when empty):
+/// `dir/<id>.snap`.  Throws std::invalid_argument unless `util::valid_id(id)`,
+/// so no id can name a file outside `dir`.
+[[nodiscard]] std::string snapshot_path(const std::string& dir,
+                                        const std::string& id);
 
 /// Reads and validates `path` (see decode_snapshot for the check order and
 /// exception contract; missing/unreadable files throw SnapshotIoError).

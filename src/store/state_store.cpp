@@ -5,21 +5,13 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/bytes.h"
+
 namespace lcaknap::store {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] bool valid_id(const std::string& id) noexcept {
-  if (id.empty()) return false;
-  for (const char c : id) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
 
 [[nodiscard]] double elapsed_us(Clock::time_point since) {
   return std::chrono::duration<double, std::micro>(Clock::now() - since).count();
@@ -86,18 +78,16 @@ StateStore::StateStore(StateStoreConfig config, metrics::Registry& registry)
 }
 
 std::string StateStore::snapshot_path(const std::string& id) const {
-  const std::string dir =
-      config_.snapshot_dir.empty() ? std::string(".") : config_.snapshot_dir;
-  return dir + "/" + id + ".snap";
+  return store::snapshot_path(config_.snapshot_dir, id);
 }
 
 std::shared_ptr<const core::LcaKpRun> StateStore::get(const std::string& id,
                                                       const core::LcaKp& lca,
                                                       std::uint64_t tape_seed) {
-  if (!valid_id(id)) {
+  if (!util::valid_id(id)) {
     throw std::invalid_argument(
-        "StateStore: instance id must be non-empty [A-Za-z0-9._-]: '" + id +
-        "'");
+        "StateStore: instance id must be 1-64 bytes of [A-Za-z0-9._-]: '" +
+        id + "'");
   }
   std::shared_ptr<Flight> flight;
   bool owner = false;

@@ -83,8 +83,9 @@ class StateStore {
   /// verifies snapshots against `fingerprint_of(lca, tape_seed)`, so a
   /// stale or foreign snapshot under this id is rejected and re-warmed,
   /// never served.  Throws only what the tenant's oracle throws (snapshot
-  /// failures fall back to live warm-up); `id` must be non-empty and use
-  /// only [A-Za-z0-9._-] (it names the snapshot file).
+  /// failures fall back to live warm-up); `id` must pass `util::valid_id`,
+  /// 1-64 bytes of [A-Za-z0-9._-] (it names the snapshot file), or the call
+  /// throws std::invalid_argument.
   [[nodiscard]] std::shared_ptr<const core::LcaKpRun> get(
       const std::string& id, const core::LcaKp& lca, std::uint64_t tape_seed);
 
@@ -97,7 +98,8 @@ class StateStore {
   [[nodiscard]] const StateStoreConfig& config() const noexcept {
     return config_;
   }
-  /// Where `id`'s snapshot lives (valid even with persistence disabled).
+  /// Where `id`'s snapshot lives (valid even with persistence disabled);
+  /// `store::snapshot_path` of the configured directory.
   [[nodiscard]] std::string snapshot_path(const std::string& id) const;
 
  private:

@@ -4,22 +4,14 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/bytes.h"
+
 namespace lcaknap::util {
 
 namespace {
 
 constexpr const char* kMagic = "lcaknap-trace";
 constexpr int kVersion = 1;
-
-[[nodiscard]] bool valid_tenant(const std::string& tenant) noexcept {
-  if (tenant.empty()) return false;
-  for (const char c : tenant) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -65,7 +57,7 @@ std::vector<TraceRecord> read_trace(std::istream& is) {
     if (fields >> trailing) {
       throw TraceParseError(line_no, "trailing field: " + trailing);
     }
-    if (!valid_tenant(record.tenant)) {
+    if (!valid_id(record.tenant)) {
       throw TraceParseError(line_no, "bad tenant id: " + record.tenant);
     }
     if (record.timestamp_us < previous_ts) {

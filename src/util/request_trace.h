@@ -27,10 +27,10 @@
 ///     ...
 ///
 /// Timestamps are microseconds relative to the recording's start and must be
-/// non-decreasing; `tenant` is a `[A-Za-z0-9._-]+` id (the wire protocol's
-/// tenant alphabet).  Parsing is strict: any malformed line is a typed
-/// `TraceParseError` carrying the 1-based line number, never a silently
-/// skipped record.
+/// non-decreasing; `tenant` is an instance id (`util::valid_id`: 1-64 bytes
+/// of `[A-Za-z0-9._-]`, the rule the wire protocol and the store enforce).
+/// Parsing is strict: any malformed line is a typed `TraceParseError`
+/// carrying the 1-based line number, never a silently skipped record.
 
 namespace lcaknap::util {
 
@@ -38,7 +38,7 @@ namespace lcaknap::util {
 struct TraceRecord {
   std::uint64_t timestamp_us = 0;  ///< microseconds since recording start
   std::uint64_t item = 0;          ///< queried item index
-  std::string tenant = "default";  ///< tenant id ([A-Za-z0-9._-]+)
+  std::string tenant = "default";  ///< tenant id (util::valid_id)
 
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
@@ -59,8 +59,8 @@ class TraceParseError : public std::runtime_error {
 void write_trace(const std::vector<TraceRecord>& records, std::ostream& os);
 
 /// Parses a trace; throws `TraceParseError` on any malformed header or
-/// record (bad field count, non-numeric fields, tenant outside the
-/// `[A-Za-z0-9._-]+` alphabet, or a timestamp going backwards).
+/// record (bad field count, non-numeric fields, a tenant that fails
+/// `util::valid_id`, or a timestamp going backwards).
 [[nodiscard]] std::vector<TraceRecord> read_trace(std::istream& is);
 
 /// File wrappers; throw `std::runtime_error` when the file cannot be

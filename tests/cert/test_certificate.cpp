@@ -6,6 +6,7 @@
 #include <string>
 
 #include "store/snapshot.h"
+#include "util/bytes.h"
 
 /// Record/header codec unit tests: canonical fixed-width encoding,
 /// lossless round trips for every case tag, and typed rejection of every
@@ -51,7 +52,7 @@ store::SnapshotFingerprint sample_fingerprint() {
 /// (not the CRC) can reject it.
 void reseal(std::string& bytes) {
   ASSERT_EQ(bytes.size(), kCertRecordBytes);
-  const auto crc = store::crc64(
+  const auto crc = util::crc64(
       std::string_view(bytes).substr(0, kCertRecordBytes - 8));
   for (int b = 0; b < 8; ++b) {
     bytes[kCertRecordBytes - 8 + static_cast<std::size_t>(b)] =

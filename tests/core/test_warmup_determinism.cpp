@@ -8,7 +8,6 @@
 #include "knapsack/generators.h"
 #include "oracle/access.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 /// The sharded warm-up's whole contract (ISSUE: Lemma 4.9 preserved under
 /// parallelism): `(L(Ĩ), EPS)` — summarized by `run_digest` — is a pure
@@ -62,16 +61,6 @@ TEST(WarmupDeterminism, RepeatedRunsSameSeedIdentical) {
   for (int rep = 0; rep < 3; ++rep) {
     EXPECT_EQ(run_digest(lca.run_warmup(21, 2)), first);
   }
-}
-
-TEST(WarmupDeterminism, ExternalPoolMatchesOwnedPool) {
-  const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 5'000, 9);
-  const oracle::MaterializedAccess access(inst);
-  const LcaKp lca(access, warmup_config());
-  util::ThreadPool pool(3);
-  const auto with_pool = lca.run_warmup(5, 3, &pool);
-  const auto owned = lca.run_warmup(5, 3);
-  EXPECT_EQ(run_digest(with_pool), run_digest(owned));
 }
 
 TEST(WarmupDeterminism, DifferentTapeSeedsStillAgree) {

@@ -128,7 +128,7 @@ TEST(ReplayDelta, WeightOnlyBatchesAreDigestEqualToFreshWarmups) {
   const oracle::MaterializedAccess access(base);
   const core::LcaKp lca(access, test_config());
   core::WarmupTrace trace;
-  (void)lca.run_warmup(kTapeSeed, 0, nullptr, &trace);
+  (void)lca.run_warmup(kTapeSeed, 0, &trace);
   EXPECT_EQ(trace.tape_seed, kTapeSeed);
 
   for (const std::size_t churn : {1u, 20u, 200u}) {
@@ -150,7 +150,7 @@ TEST(ReplayDelta, ChainedDeltasReplayFromTheOriginalTrace) {
   const oracle::MaterializedAccess access(base);
   const core::LcaKp lca(access, test_config());
   core::WarmupTrace trace;
-  (void)lca.run_warmup(kTapeSeed, 0, nullptr, &trace);
+  (void)lca.run_warmup(kTapeSeed, 0, &trace);
 
   // Profits never change along a delta chain, so the epoch-0 trace stays
   // valid against every later instance in the chain.
@@ -172,7 +172,7 @@ TEST(ReplayDelta, EmptyBatchReplaysTheIdenticalRun) {
   const oracle::MaterializedAccess access(base);
   const core::LcaKp lca(access, test_config());
   core::WarmupTrace trace;
-  const auto original = lca.run_warmup(kTapeSeed, 0, nullptr, &trace);
+  const auto original = lca.run_warmup(kTapeSeed, 0, &trace);
   const auto replayed = replay_delta(lca, trace);
   EXPECT_EQ(core::run_digest(replayed), core::run_digest(original));
 }
@@ -186,7 +186,7 @@ TEST(ReplayDelta, ThrowsWhenATracedLargeIndexStopsClassifyingLarge) {
   const oracle::MaterializedAccess access(base);
   const core::LcaKp lca(access, test_config());
   core::WarmupTrace trace;
-  (void)lca.run_warmup(kTapeSeed, 0, nullptr, &trace);
+  (void)lca.run_warmup(kTapeSeed, 0, &trace);
   ASSERT_FALSE(trace.large_drawn.empty());
 
   // Repricing the heavy item (an ineligible batch — this calls the replay
@@ -205,7 +205,7 @@ TEST(ReplayDelta, ThrowsWhenTheSmallMassGateFlips) {
   const oracle::MaterializedAccess access(base);
   const core::LcaKp lca(access, test_config());
   core::WarmupTrace trace;
-  (void)lca.run_warmup(kTapeSeed, 0, nullptr, &trace);
+  (void)lca.run_warmup(kTapeSeed, 0, &trace);
   // A tampered trace claiming the opposite gate outcome must be refused —
   // the gate is a pure function of large_mass, which the replay recomputes.
   core::WarmupTrace tampered = trace;

@@ -153,6 +153,28 @@ TEST_F(BootstrapTest, ShipAndCorruptFailuresAreTyped) {
   EXPECT_THROW(corrupt_snapshot_byte(empty, 0), std::exception);
 }
 
+TEST_F(BootstrapTest, ShipRefusesAnIdTheStoreWouldRefuse) {
+  // The shipped file is named by the store's own rule, so an id with a path
+  // separator is refused before anything is written, inside or outside
+  // the destination.
+  const auto source = (dir_ / "source" / "tenant-a.snap").string();
+  { std::ofstream os(source, std::ios::binary); os << "snapshot bytes"; }
+  EXPECT_THROW(ship_snapshot(source, (dir_ / "dest").string(), "../escaped"),
+               std::invalid_argument);
+  EXPECT_THROW(ship_snapshot(source, (dir_ / "dest").string(),
+                             std::string(65, 'a')),
+               std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "escaped.snap"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "escaped.snap.tmp"));
+  EXPECT_TRUE(std::filesystem::is_empty(dir_ / "dest"));
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    (void)entry;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 2u);  // source/ and dest/ only
+}
+
 TEST_F(BootstrapTest, WaitReadyTracksTheHydrationStateMachine) {
   const auto inst =
       knapsack::make_family(knapsack::Family::kUncorrelated, 3'000, 5);

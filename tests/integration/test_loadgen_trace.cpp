@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -13,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/lca_kp.h"
 #include "knapsack/generators.h"
@@ -207,6 +213,69 @@ TEST_F(LoadgenTraceTest, DiurnalShapeModulatesTheOpenLoopAndConserves) {
   const auto closed = run_loadgen(port_arg() +
                                   " --queries 10 --shape diurnal --json");
   EXPECT_NE(closed.exit_code, 0);
+}
+
+TEST_F(LoadgenTraceTest, InvalidTenantIsAUsageError) {
+  // --tenant obeys the one instance-id rule (util::valid_id) when flags are
+  // parsed, so an id the wire would refuse never reaches the encoder.
+  const auto long_id = run_loadgen(port_arg() + " --queries 10 --tenant " +
+                                   std::string(65, 't'));
+  EXPECT_EQ(long_id.exit_code, 1) << long_id.output;
+  const auto slash = run_loadgen(port_arg() + " --queries 10 --tenant a/b");
+  EXPECT_EQ(slash.exit_code, 1) << slash.output;
+  EXPECT_EQ(server_->stats().frames_in, 0u);
+}
+
+/// A loopback peer that accepts every connection and resets it at once
+/// (SO_LINGER 0): what a replica killed mid-run looks like to a client.
+class DroppingPeer {
+ public:
+  DroppingPeer() {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listener_, 16) != 0 ||
+        ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ADD_FAILURE() << "cannot listen on loopback";
+    }
+    port_ = ntohs(addr.sin_port);
+    acceptor_ = std::thread([this] {
+      while (true) {
+        const int conn = ::accept(listener_, nullptr, nullptr);
+        if (conn < 0) return;  // the listener was shut down
+        const linger reset{1, 0};
+        ::setsockopt(conn, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+        ::close(conn);
+      }
+    });
+  }
+  ~DroppingPeer() {
+    ::shutdown(listener_, SHUT_RDWR);
+    acceptor_.join();
+    ::close(listener_);
+  }
+  DroppingPeer(const DroppingPeer&) = delete;
+  DroppingPeer& operator=(const DroppingPeer&) = delete;
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+ private:
+  int listener_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread acceptor_;
+};
+
+TEST(LoadgenDroppingPeer, OpenLoopReportsTheLostConnectionAndExitsTwo) {
+  // The sender's send() fails once the peer is gone; the open loop must
+  // still join its drainer and report the failure, never abort.
+  const DroppingPeer peer;
+  const auto run = run_loadgen("--port " + std::to_string(peer.port()) +
+                               " --mode open --qps 2000 --duration-ms 300"
+                               " --json");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("error:"), std::string::npos) << run.output;
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ TEST(ClientConnectionLost, SendAfterPeerResetIsTyped) {
     threw = true;
   }
   EXPECT_TRUE(threw);
-  EXPECT_FALSE(client.connected()) << "a lost connection closes the fd";
+  EXPECT_FALSE(client.connected()) << "a lost connection is not connected";
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "net/wire.h"
+#include "util/bytes.h"
 
 /// \file test_wire.cpp
 /// Round-trip and typed-error tests for the length-prefixed wire protocol
@@ -125,17 +126,6 @@ TEST(Wire, IncompleteBufferReturnsZeroNotAnError) {
             0u);
 }
 
-TEST(Wire, ValidTenantEnforcesTheInstanceIdAlphabet) {
-  EXPECT_TRUE(valid_tenant("a"));
-  EXPECT_TRUE(valid_tenant("Tenant_1.prod-eu"));
-  EXPECT_TRUE(valid_tenant(std::string(kMaxTenantBytes, 'x')));
-  EXPECT_FALSE(valid_tenant(""));
-  EXPECT_FALSE(valid_tenant(std::string(kMaxTenantBytes + 1, 'x')));
-  EXPECT_FALSE(valid_tenant("has space"));
-  EXPECT_FALSE(valid_tenant("sl/ash"));
-  EXPECT_FALSE(valid_tenant(std::string("nu\0l", 4)));
-}
-
 TEST(Wire, EncodeRefusesAnInvalidTenant) {
   // Encoding never produces an undecodable frame; the error is at the API
   // boundary, not on the peer's decoder.
@@ -143,7 +133,7 @@ TEST(Wire, EncodeRefusesAnInvalidTenant) {
   RequestFrame frame = sample_request();
   frame.tenant = "";
   EXPECT_THROW(encode(frame, bytes), std::invalid_argument);
-  frame.tenant = std::string(kMaxTenantBytes + 1, 'a');
+  frame.tenant = std::string(util::kMaxIdBytes + 1, 'a');
   EXPECT_THROW(encode(frame, bytes), std::invalid_argument);
   frame.tenant = "bad tenant";
   EXPECT_THROW(encode(frame, bytes), std::invalid_argument);

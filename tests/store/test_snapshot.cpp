@@ -13,6 +13,7 @@
 #include "oracle/access.h"
 #include "serve/engine.h"
 #include "store/snapshot.h"
+#include "util/bytes.h"
 
 /// Snapshot format contract (ISSUE 5 tentpole): a rehydrated `LcaKpRun` is
 /// byte-indistinguishable from the live warm-up it persisted — `run_digest`
@@ -158,7 +159,7 @@ TEST_F(SnapshotTest, FingerprintMismatchIsRejected) {
 // *behind* the checksum (magic, version).
 std::string reseal(std::string bytes) {
   const auto body = std::string_view(bytes).substr(0, bytes.size() - 8);
-  const std::uint64_t crc = crc64(body);
+  const std::uint64_t crc = util::crc64(body);
   for (int i = 0; i < 8; ++i) {
     bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<char>((crc >> (8 * i)) & 0xFF);
@@ -192,8 +193,8 @@ TEST_F(SnapshotTest, MissingFileIsIoError) {
 
 TEST_F(SnapshotTest, Crc64MatchesKnownVector) {
   // CRC-64/XZ ("ECMA-182 reflected") check vector: crc64("123456789").
-  EXPECT_EQ(crc64("123456789"), 0x995DC9BBDF1939FAull);
-  EXPECT_EQ(crc64(""), 0ull);
+  EXPECT_EQ(util::crc64("123456789"), 0x995DC9BBDF1939FAull);
+  EXPECT_EQ(util::crc64(""), 0ull);
 }
 
 TEST_F(SnapshotTest, EngineAdoptingSnapshotServesIdenticalAnswers) {

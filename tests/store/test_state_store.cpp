@@ -186,6 +186,20 @@ TEST_F(StateStoreTest, InvalidIdsAndConfigRejected) {
   EXPECT_THROW(StateStore({.capacity = 0}, other), std::invalid_argument);
 }
 
+TEST_F(StateStoreTest, IdsLongerThanSixtyFourBytesRejected) {
+  // The one id rule (util::valid_id) caps ids at 64 bytes, the length the
+  // wire carries, so the store cannot name a tenant no frame can reach.
+  const auto inst = knapsack::make_family(knapsack::Family::kUncorrelated, 2'000, 5);
+  const oracle::MaterializedAccess access(inst);
+  const core::LcaKp lca(access, tenant_config());
+  metrics::Registry registry;
+  StateStore store(StateStoreConfig{}, registry);
+  EXPECT_THROW((void)store.get(std::string(65, 'a'), lca, 1),
+               std::invalid_argument);
+  EXPECT_EQ(store.stats().misses, 0u);
+  EXPECT_NE(store.get(std::string(64, 'a'), lca, 1), nullptr);
+}
+
 // --- StateStoreConcurrency: the suite CI also runs under TSan ---------------
 
 TEST(StateStoreConcurrency, SingleFlightWarmsEachIdExactlyOnce) {

@@ -87,6 +87,22 @@ TEST(RequestTrace, TenantAlphabetEnforced) {
   EXPECT_THROW((void)read_trace(ss), TraceParseError);
 }
 
+TEST(RequestTrace, OverlongTenantIsATypedErrorNamingItsLine) {
+  // The one id rule (util::valid_id) caps ids at 64 bytes, as the wire and
+  // the store do, so a trace cannot carry a tenant the wire refuses.
+  const std::string longest(64, 't');
+  std::stringstream ok("lcaknap-trace 1\n0 1 " + longest + "\n");
+  EXPECT_EQ(read_trace(ok).front().tenant, longest);
+  std::stringstream ss("lcaknap-trace 1\n0 1 default\n1 2 " + longest +
+                       "u\n");
+  try {
+    (void)read_trace(ss);
+    FAIL() << "want TraceParseError";
+  } catch (const TraceParseError& e) {
+    EXPECT_EQ(e.line(), 3u);
+  }
+}
+
 TEST(RequestTrace, BackwardsTimestampRejected) {
   std::stringstream ss("lcaknap-trace 1\n10 1 default\n9 2 default\n");
   try {

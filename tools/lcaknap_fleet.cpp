@@ -56,6 +56,7 @@
 #include "fleet/map.h"
 #include "net/client.h"
 #include "net/wire.h"
+#include "store/snapshot.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/virtual_clock.h"
@@ -284,7 +285,7 @@ int cmd_drill(const Args& args) {
                                  const fleet::ReplicaTarget& target) {
       for (auto& replica : fleet.replicas()) {
         if (replica.replica_id != target.replica_id) continue;
-        const auto snap = replica.snapshot_dir + "/" + tenant + ".snap";
+        const auto snap = store::snapshot_path(replica.snapshot_dir, tenant);
         if (std::filesystem::exists(snap)) {
           fleet::corrupt_snapshot_byte(snap, 64);
         }
@@ -349,7 +350,8 @@ int cmd_drill(const Args& args) {
   }
   const std::string replacement_dir = work_dir + "/replacement";
   const auto shipped = fleet::ship_snapshot(
-      survivor->snapshot_dir + "/" + tenant + ".snap", replacement_dir, tenant);
+      store::snapshot_path(survivor->snapshot_dir, tenant), replacement_dir,
+      tenant);
   if (args.has("corrupt-shipment")) {
     // Chaos in flight: the replacement must typed-reject the shipment and
     // fall back to a live warm-up — slower, but never served.

@@ -69,6 +69,7 @@
 
 #include "net/client.h"
 #include "net/wire.h"
+#include "util/bytes.h"
 #include "util/request_trace.h"
 #include "util/table.h"
 
@@ -289,23 +290,34 @@ void run_open(const RunConfig& config, double conn_qps, std::uint64_t quota,
     auto next_send = start;
     std::uint64_t next_id = 1;
     std::size_t replay_pos = 0;
-    while (Clock::now() < end && result.sent < quota) {
-      if (conn_qps > 0) {
-        std::this_thread::sleep_until(next_send);
-        const double rate = rate_at(Clock::now());
-        next_send += std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(rate > 0 ? 1.0 / rate : 0.0));
+    // A sender-side throw (the peer reset mid-run) stops sending; the
+    // drainer must still be joined, or its destructor ends the process.
+    std::string send_error;
+    try {
+      while (Clock::now() < end && result.sent < quota) {
+        if (conn_qps > 0) {
+          std::this_thread::sleep_until(next_send);
+          const double rate = rate_at(Clock::now());
+          next_send += std::chrono::duration_cast<Clock::duration>(
+              std::chrono::duration<double>(rate > 0 ? 1.0 / rate : 0.0));
+        }
+        net::RequestFrame frame;
+        frame.request_id = next_id++;
+        fill_frame(frame, config, slice, replay_pos, rng, pick, result);
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          outstanding.emplace(frame.request_id, Clock::now());
+        }
+        sent_or_done.notify_one();
+        client.send(frame);
+        result.sent += 1;
       }
-      net::RequestFrame frame;
-      frame.request_id = next_id++;
-      fill_frame(frame, config, slice, replay_pos, rng, pick, result);
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        outstanding.emplace(frame.request_id, Clock::now());
-      }
-      sent_or_done.notify_one();
-      client.send(frame);
-      result.sent += 1;
+    } catch (const std::exception& e) {
+      send_error = e.what();
+      // The frame whose send threw never left: the drainer must not wait
+      // for its answer.
+      std::lock_guard<std::mutex> lock(mutex);
+      outstanding.erase(next_id - 1);
     }
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -313,6 +325,7 @@ void run_open(const RunConfig& config, double conn_qps, std::uint64_t quota,
     }
     sent_or_done.notify_one();
     drainer.join();
+    if (result.error.empty()) result.error = send_error;
   } catch (const std::exception& e) {
     if (result.error.empty()) result.error = e.what();
   }
@@ -435,6 +448,10 @@ int run(const Args& args) {
     targets.emplace_back(config.host, config.port);
   }
   config.tenant = args.get("tenant").value_or("default");
+  if (!util::valid_id(config.tenant)) {
+    throw std::invalid_argument("--tenant must be 1-64 bytes of "
+                                "[A-Za-z0-9._-], got: '" + config.tenant + "'");
+  }
   const std::string mode = args.get("mode").value_or("closed");
   if (mode != "closed" && mode != "open") {
     throw std::invalid_argument("unknown --mode: " + mode);
